@@ -1,6 +1,7 @@
 #include "common/stats.hh"
 
-#include <sstream>
+#include <cmath>
+#include <cstdio>
 
 namespace hmg
 {
@@ -33,10 +34,23 @@ StatRecorder::sumPrefix(const std::string &prefix) const
 std::string
 StatRecorder::toString() const
 {
-    std::ostringstream os;
-    for (const auto &[name, value] : stats_)
-        os << name << " " << value << "\n";
-    return os.str();
+    std::string out;
+    char buf[32];
+    for (const auto &[name, value] : stats_) {
+        // Exact: integers as integers, anything else with enough digits
+        // to round-trip, so two dumps are equal iff the stats are.
+        if (std::isfinite(value) && value == std::trunc(value) &&
+            std::fabs(value) < 0x1p63)
+            std::snprintf(buf, sizeof buf, "%lld",
+                          static_cast<long long>(value));
+        else
+            std::snprintf(buf, sizeof buf, "%.17g", value);
+        out += name;
+        out += ' ';
+        out += buf;
+        out += '\n';
+    }
+    return out;
 }
 
 } // namespace hmg

@@ -35,7 +35,10 @@ class StatRecorder
     /** All stats, sorted by name. */
     const std::map<std::string, double> &all() const { return stats_; }
 
-    /** Multi-line "name value" dump. */
+    /**
+     * Multi-line "name value" dump, exact: integer values print as
+     * integers, all others with round-trip (%.17g) precision.
+     */
     std::string toString() const;
 
     void clear() { stats_.clear(); }

@@ -1,7 +1,9 @@
 /**
  * @file
- * A small-buffer-optimized, move-only callable for engine events and
- * protocol completion paths.
+ * A small-buffer-optimized, move-only callable for held engine events
+ * (Engine::Callback: message arrivals, PDES mailboxes, the engine's
+ * overflow list) and protocol completion paths. Scheduled closures do
+ * not pass through it: the engine stores them as size-exact records.
  *
  * std::function's inline buffer (16 bytes on libstdc++) is smaller than
  * almost every closure the protocol engines schedule — a typical data-path
@@ -97,8 +99,8 @@ class SmallCallback<N, R(Args...)>
 
     /**
      * Invoke the stored callable and destroy it in place, leaving *this
-     * empty. One indirect call instead of move-out + invoke + destroy —
-     * the engine's event-execution hot path. Undefined if empty.
+     * empty. One indirect call instead of move-out + invoke + destroy.
+     * Undefined if empty.
      */
     R
     consume(Args... args)

@@ -1,6 +1,7 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <new>
 #include <utility>
 
 #include "common/log.hh"
@@ -8,11 +9,92 @@
 namespace hmg
 {
 
+namespace
+{
+
 // det-ok: per-thread current-engine pointer; each LP thread only ever
-// observes its own engine, so no cross-thread order can leak.
-thread_local Engine *Engine::tl_current = nullptr;
+// observes its own engine, so no cross-thread order can leak. It is
+// file-local and read through Engine::current(), so no other
+// translation unit goes through a TLS wrapper to reach it.
+thread_local Engine *tl_current = nullptr;
+
+} // namespace
+
+Engine *
+Engine::current()
+{
+    return tl_current;
+}
 
 Engine::Engine() : buckets_(kWheelSize) {}
+
+Engine::~Engine()
+{
+    // Pending closures are destroyed in place; their chunks go away
+    // with the slabs afterwards.
+    for (std::size_t w = 0; w < kBitmapWords; ++w) {
+        for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+            const std::size_t b =
+                (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
+            drainBucket(b, [](Record *r) { r->ops->destroy(r + 1); });
+        }
+    }
+}
+
+std::byte *
+Engine::acquireChunk()
+{
+    if (free_chunks_ == nullptr) {
+        auto *slab = static_cast<std::byte *>(::operator new(
+            kChunksPerSlab * kChunkBytes, std::align_val_t{kChunkBytes}));
+        slabs_.emplace_back(slab);
+        // Pushed in reverse so chunks are handed out in address order.
+        for (std::size_t i = kChunksPerSlab; i-- > 0;)
+            releaseChunk(slab + i * kChunkBytes);
+    }
+    std::byte *chunk = free_chunks_;
+    free_chunks_ = *std::launder(reinterpret_cast<std::byte **>(chunk));
+    return chunk;
+}
+
+std::byte *
+Engine::growBucket(Bucket &bk)
+{
+    std::byte *chunk = acquireChunk();
+    if (bk.tail == nullptr) {
+        bk.read = chunk;
+    } else {
+        // The tail chunk keeps its last header slot free, so the link
+        // always fits where the record did not.
+        auto *link = new (bk.tail) Record;
+        link->ops = nullptr;
+        link->next = chunk;
+    }
+    return chunk;
+}
+
+template <typename Visit>
+void
+Engine::drainBucket(std::size_t b, Visit &&visit)
+{
+    Bucket &bk = buckets_[b];
+    std::byte *p = bk.read;
+    // `visit` may append to this bucket (a same-tick schedule), so the
+    // tail is re-read before every record.
+    while (p != bk.tail) {
+        auto *r = reinterpret_cast<Record *>(p);
+        if (r->ops == nullptr) {
+            // Everything before the link has run; its chunk is free.
+            releaseChunk(chunkOf(p));
+            p = r->next;
+            continue;
+        }
+        p += r->ops->bytes;
+        visit(r);
+    }
+    releaseChunk(chunkOf(p - 1));
+    clearBucket(b);
+}
 
 void
 Engine::spillWheelToOverflow()
@@ -29,13 +111,11 @@ Engine::spillWheelToOverflow()
             const std::size_t b =
                 (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
             bits &= bits - 1;
-            Bucket &bk = buckets_[b];
-            for (std::size_t i = bk.head; i < bk.events.size(); ++i)
-                overflow_.emplace_back(std::move(bk.events[i]));
-            bk.events.clear();
-            bk.head = 0;
+            const Tick when = bucketTick(b);
+            drainBucket(b, [&](Record *r) {
+                overflow_.push_back({when, r->seq, r->ops->take(r + 1)});
+            });
         }
-        occupied_[w] = 0;
     }
     wheel_count_ = 0;
 }
@@ -67,8 +147,7 @@ Engine::findNextBucket()
                         static_cast<std::size_t>(__builtin_ctzll(bits)));
                     // The bucket's (unique) tick, recovered from the
                     // index arithmetically — no memory dependency.
-                    search_from_ +=
-                        (static_cast<Tick>(b) - search_from_) & kWheelMask;
+                    search_from_ = bucketTick(static_cast<std::size_t>(b));
                     return b;
                 }
                 word = (word + 1) & (kBitmapWords - 1);
@@ -89,7 +168,8 @@ Engine::findNextBucket()
         std::size_t keep = 0;
         for (auto &ev : overflow_) {
             if (ev.when < wheel_limit_) {
-                insertWheel(ev.when, ev.seq, std::move(ev.cb));
+                emplaceRecord<Callback>(ev.when & kWheelMask, ev.seq,
+                                        std::move(ev.cb));
             } else {
                 new_min = std::min(new_min, ev.when);
                 overflow_[keep++] = std::move(ev);
@@ -103,23 +183,30 @@ Engine::findNextBucket()
 void
 Engine::executeFront(std::ptrdiff_t b)
 {
-    Bucket &bk = buckets_[static_cast<std::size_t>(b)];
-    Event &ev = bk.events[bk.head];
-    hmg_assert(ev.when >= now_);
-    now_ = ev.when;
-    Callback cb = std::move(ev.cb);
-    if (++bk.head == bk.events.size()) {
-        // clear() keeps the vector's capacity: the steady state recycles
-        // bucket storage without touching the heap.
-        bk.events.clear();
-        bk.head = 0;
-        const auto bit = static_cast<std::size_t>(b);
-        occupied_[bit >> 6] &= ~(std::uint64_t{1} << (bit & 63));
+    const auto bi = static_cast<std::size_t>(b);
+    Bucket &bk = buckets_[bi];
+    auto *r = reinterpret_cast<Record *>(bk.read);
+    hmg_assert(search_from_ >= now_);
+    now_ = search_from_;
+    bk.read += r->ops->bytes;
+    // The record runs in place, so a chunk this pop finishes is released
+    // only after the closure returns; the cursor steps over a link now,
+    // so peekNext() never sees one.
+    std::byte *finished = nullptr;
+    if (bk.read == bk.tail) {
+        finished = chunkOf(bk.tail - 1);
+        clearBucket(bi);
+    } else if (auto *link = reinterpret_cast<Record *>(bk.read);
+               link->ops == nullptr) {
+        finished = chunkOf(bk.read);
+        bk.read = link->next;
     }
     --wheel_count_;
     --size_;
     ++executed_;
-    cb();
+    r->ops->run(r + 1);
+    if (finished)
+        releaseChunk(finished);
 }
 
 bool
@@ -128,10 +215,10 @@ Engine::peekNext(Tick &when, std::uint64_t &seq)
     const std::ptrdiff_t b = findNextBucket();
     if (b < 0)
         return false;
-    const Bucket &bk = buckets_[static_cast<std::size_t>(b)];
-    const Event &ev = bk.events[bk.head];
-    when = ev.when;
-    seq = ev.seq;
+    when = search_from_;
+    seq = reinterpret_cast<const Record *>(
+              buckets_[static_cast<std::size_t>(b)].read)
+              ->seq;
     return true;
 }
 
@@ -155,33 +242,24 @@ Engine::run(Tick until)
     tl_current = this;
     // The window [search_from_, wheel_limit_) is never wider than
     // kWheelSize, so every event in a bucket shares one tick — a found
-    // bucket can be drained whole without rescanning the bitmap. Events
-    // are consumed in place from `draining_` (one indirect call each, no
-    // move-out); a callback scheduling at the current tick appends to
-    // the bucket's now-empty vector, which the outer while picks up in
-    // insertion order.
+    // bucket can be drained whole without rescanning the bitmap. Records
+    // run in place (one indirect call each) and never move: a callback
+    // scheduling at the current tick appends behind the tail, which the
+    // drain loop re-reads before every record, so same-tick events run
+    // in insertion order.
     for (;;) {
         const std::ptrdiff_t b = findNextBucket();
         if (b < 0 || search_from_ > until)
             break;
-        Bucket &bk = buckets_[static_cast<std::size_t>(b)];
         now_ = search_from_;
-        while (!bk.events.empty()) {
-            draining_.swap(bk.events);
-            const std::uint32_t h = std::exchange(bk.head, 0u);
-            // No callback can touch draining_ (appends go to bk.events),
-            // so the data pointer and size are loop-invariant.
-            Event *const ev = draining_.data();
-            const std::size_t sz = draining_.size();
-            for (std::size_t i = h; i < sz; ++i)
-                ev[i].cb.consume();
-            wheel_count_ -= sz - h;
-            size_ -= sz - h;
-            executed_ += sz - h;
-            draining_.clear();
-        }
-        const auto bit = static_cast<std::size_t>(b);
-        occupied_[bit >> 6] &= ~(std::uint64_t{1} << (bit & 63));
+        std::size_t ran = 0;
+        drainBucket(static_cast<std::size_t>(b), [&ran](Record *r) {
+            r->ops->run(r + 1);
+            ++ran;
+        });
+        wheel_count_ -= ran;
+        size_ -= ran;
+        executed_ += ran;
     }
     tl_current = prev;
     return now_;

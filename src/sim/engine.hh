@@ -11,21 +11,29 @@
  * (hit latencies, hop latencies, DRAM and queueing delays — almost all
  * within a few thousand cycles of `now`):
  *
- *  - one bucket per tick over a 2^14-cycle window; scheduling is an
- *    append to the bucket's vector, execution walks a 2 KB occupancy
- *    bitmap to the next populated tick;
- *  - events beyond the window go to an overflow list that is swept into
- *    the wheel each time the wheel drains (at most once per 2^14 ticks,
- *    or directly to the next populated tick when the schedule is
- *    sparse);
- *  - callbacks are SmallCallback (sim/callback.hh), so the common
- *    capture sizes — including the protocol engines' fattest data-path
- *    continuations — are stored inline in the bucket vectors.
+ *  - one bucket per tick over a 2^14-cycle window; execution walks a
+ *    2 KB occupancy bitmap to the next populated tick;
+ *  - an event is a size-exact *record*: a 16-byte header (per-closure-
+ *    type ops pointer + insertion-order stamp) followed by the closure
+ *    itself, rounded up to 16 bytes — a `Port` pump that captures only
+ *    `this` takes 32 bytes;
+ *  - records are constructed in place in fixed 4 KiB chunks; a bucket is
+ *    a chain of chunks with a read cursor and an append tail, so records
+ *    never move and same-tick appends during a drain simply extend the
+ *    chain;
+ *  - drained chunks return to an engine-owned LIFO free list, so the
+ *    next populated tick writes into memory that is still in cache;
+ *  - events beyond the window go to an overflow list of
+ *    (tick, seq, Callback) that is swept into the wheel each time the
+ *    wheel drains (at most once per 2^14 ticks, or directly to the next
+ *    populated tick when the schedule is sparse). Closures larger than a
+ *    chunk or over-aligned for one are boxed in a Callback first.
  *
- * Steady state does zero heap allocations per event: bucket vectors are
- * cleared but keep their capacity, and inline callbacks never touch the
- * heap. The determinism contract and its proof obligations are spelled
- * out in DESIGN.md ("Event kernel & parallel sweeps").
+ * Pending-event memory is therefore bounded by the live events' record
+ * bytes plus at most one partly filled 4 KiB chunk per populated tick;
+ * steady state does zero heap allocations per event. The determinism
+ * contract and its proof obligations are spelled out in DESIGN.md
+ * ("Event kernel & parallel sweeps").
  */
 
 #ifndef HMG_SIM_ENGINE_HH
@@ -35,6 +43,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -51,14 +61,17 @@ class Engine
 {
   public:
     /**
-     * Inline capacity of 192 bytes covers every closure the protocol
-     * engines schedule today (the fattest captures `this` + MemAccess +
-     * two ids + a Version + two 64-byte SmallCallback completions =
-     * 184 bytes).
+     * The owning, movable form of an event, for code that holds a
+     * closure before scheduling it (message arrivals, PDES mailboxes)
+     * and for the engine's own overflow list. Inline capacity of 192
+     * bytes covers every closure the protocol engines schedule today
+     * (the fattest captures `this` + MemAccess + two ids + a Version +
+     * two 64-byte SmallCallback completions = 184 bytes).
      */
     using Callback = SmallCallback<192>;
 
     Engine();
+    ~Engine();
 
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
@@ -73,7 +86,7 @@ class Engine
      * executing, so code that says "schedule on the engine" keeps
      * working unchanged with one engine per LP.
      */
-    static Engine *current() { return tl_current; }
+    static Engine *current();
 
     /**
      * Redirect the insertion-order counter that stamps every scheduled
@@ -118,7 +131,7 @@ class Engine
 
     /**
      * Schedule `f` to run `delay` cycles from now. Templated so the
-     * callable is constructed directly in its bucket slot — a closure
+     * callable is constructed directly in its record — a closure
      * reaches the queue with zero intermediate moves.
      */
     template <typename F,
@@ -165,39 +178,110 @@ class Engine
     static constexpr std::size_t kWheelMask = kWheelSize - 1;
     static constexpr std::size_t kBitmapWords = kWheelSize / 64;
 
-    struct Event
-    {
-        // Constructed in place by emplace_back, directly from the
-        // caller's raw callable — no intermediate Callback moves.
-        Event() = default;
-        template <typename F>
-        Event(Tick w, std::uint64_t s, F &&f)
-            : when(w), seq(s), cb(std::forward<F>(f))
-        {
-        }
+    /** Chunks are kChunkBytes long and kChunkBytes-aligned, so a record's
+     *  chunk is its address with the low bits cleared. */
+    static constexpr std::size_t kChunkBytes = 4096;
+    /** Chunks carved from one heap allocation. */
+    static constexpr std::size_t kChunksPerSlab = 16;
+    static constexpr std::size_t kRecordAlign = 16;
+    /** Record bytes per chunk; the last header slot is kept free for the
+     *  link to the next chunk, so a link always fits behind the tail. */
+    static constexpr std::size_t kChunkPayload = kChunkBytes - kRecordAlign;
 
-        Tick when = 0;
-        /** Insertion-order stamp; ties on `when` break by `seq`. */
-        std::uint64_t seq = 0;
-        Callback cb;
+    /** Per-closure-type operations on a record's closure. */
+    struct RecordOps
+    {
+        /** Invoke, then destroy. */
+        void (*run)(void *);
+        /** Move the closure out as a Callback, then destroy it. */
+        Callback (*take)(void *);
+        void (*destroy)(void *);
+        /** Header plus closure, rounded up to kRecordAlign. */
+        std::size_t bytes;
     };
 
     /**
-     * Events for one tick, in insertion order; `head` is the next
-     * unexecuted event, so same-tick events scheduled during execution
-     * simply append behind it. clear() keeps the vector's capacity.
+     * Record header; the closure follows it directly. A header with null
+     * `ops` is a link: the bucket continues at `next` in another chunk.
+     */
+    struct alignas(kRecordAlign) Record
+    {
+        const RecordOps *ops;
+        union
+        {
+            /** Insertion-order stamp; ties on the tick break by `seq`. */
+            std::uint64_t seq;
+            std::byte *next;
+        };
+    };
+    static_assert(sizeof(Record) == kRecordAlign);
+
+    template <typename Fn>
+    static constexpr std::size_t kRecordBytes =
+        sizeof(Record) +
+        (sizeof(Fn) + kRecordAlign - 1) / kRecordAlign * kRecordAlign;
+
+    /** Closures stored as themselves; anything else is boxed in a
+     *  Callback record (sizeof(Callback) is well under a chunk). */
+    template <typename Fn>
+    static constexpr bool kFitsRecord =
+        kRecordBytes<Fn> <= kChunkPayload && alignof(Fn) <= kRecordAlign;
+    static_assert(kFitsRecord<Callback>);
+
+    template <typename Fn>
+    static Fn *
+    closureOf(void *p)
+    {
+        return std::launder(static_cast<Fn *>(p));
+    }
+
+    template <typename Fn>
+    static constexpr RecordOps kOps = {
+        [](void *p) {
+            Fn *f = closureOf<Fn>(p);
+            (*f)();
+            f->~Fn();
+        },
+        [](void *p) {
+            Fn *f = closureOf<Fn>(p);
+            Callback cb(std::move(*f));
+            f->~Fn();
+            return cb;
+        },
+        [](void *p) { closureOf<Fn>(p)->~Fn(); },
+        kRecordBytes<Fn>,
+    };
+
+    /**
+     * Events for one tick, in insertion order. `read` is the next record
+     * to execute, `tail` the append position in the last chunk; both are
+     * null when the bucket is empty. Outside run()'s drain loop `read`
+     * never rests on a link.
      */
     struct Bucket
     {
-        std::vector<Event> events;
-        std::uint32_t head = 0;
+        std::byte *read = nullptr;
+        std::byte *tail = nullptr;
     };
 
+    static std::byte *
+    chunkOf(const std::byte *p)
+    {
+        return reinterpret_cast<std::byte *>(
+            reinterpret_cast<std::uintptr_t>(p) & ~(kChunkBytes - 1));
+    }
+
+    static std::size_t
+    chunkOffset(const std::byte *p)
+    {
+        return reinterpret_cast<std::uintptr_t>(p) & (kChunkBytes - 1);
+    }
+
     /**
-     * Common schedule path; the callable is emplaced straight into its
-     * bucket or overflow slot. Defined here so scheduling inlines into
-     * the protocol engines' hot loops (it is a handful of instructions
-     * plus an append).
+     * Common schedule path; the callable is constructed straight into
+     * its record or overflow slot. Defined here so scheduling inlines
+     * into the protocol engines' hot loops (it is a handful of
+     * instructions plus the closure's construction).
      */
     template <typename F>
     void
@@ -211,14 +295,17 @@ class Engine
         // Cross-LP effects must not schedule directly into another LP's
         // wheel while its worker thread may be running (see
         // setAffinityChecking).
-        hmg_assert(!affine_ || tl_current == nullptr || tl_current == this);
-        Event *slot;
+        hmg_assert(!affine_ || current() == nullptr || current() == this);
+        if constexpr (std::is_same_v<std::decay_t<F>, Callback>)
+            hmg_assert(f);
         if (when < wheel_limit_ && when >= wheel_limit_ - kWheelSize) {
+            using Fn = std::decay_t<F>;
             const std::size_t b = when & kWheelMask;
-            slot = &buckets_[b].events.emplace_back(when, (*seq_src_)++,
-                                                    std::forward<F>(f));
-            occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-            ++wheel_count_;
+            if constexpr (kFitsRecord<Fn>)
+                emplaceRecord<Fn>(b, (*seq_src_)++, std::forward<F>(f));
+            else
+                emplaceRecord<Callback>(b, (*seq_src_)++,
+                                        Callback(std::forward<F>(f)));
             // An LP whose own schedule is sparse can have its scan
             // cursor far ahead of merged time when a boundary delivery
             // lands; pull the cursor back so the bitmap scan visits the
@@ -228,21 +315,63 @@ class Engine
                 search_from_ = when;
         } else {
             overflow_min_ = std::min(overflow_min_, when);
-            slot = &overflow_.emplace_back(when, (*seq_src_)++,
-                                           std::forward<F>(f));
+            overflow_.push_back(
+                {when, (*seq_src_)++, Callback(std::forward<F>(f))});
         }
-        hmg_assert(slot->cb);
         ++size_;
     }
 
-    /** Re-home one already-queued event during an overflow sweep. */
+    /** Construct a record of closure type `Fn` at the tail of bucket `b`. */
+    template <typename Fn, typename F>
     void
-    insertWheel(Tick when, std::uint64_t seq, Callback &&cb)
+    emplaceRecord(std::size_t b, std::uint64_t seq, F &&f)
     {
-        const std::size_t b = when & kWheelMask;
-        buckets_[b].events.emplace_back(when, seq, std::move(cb));
+        constexpr std::size_t bytes = kRecordBytes<Fn>;
+        Bucket &bk = buckets_[b];
+        std::byte *p = bk.tail;
+        if (p == nullptr || chunkOffset(p) + bytes > kChunkPayload)
+            p = growBucket(bk);
+        // Closure first: if building it throws, no header or tail
+        // refers to the half-written record.
+        new (p + sizeof(Record)) Fn(std::forward<F>(f));
+        auto *r = new (p) Record;
+        r->ops = &kOps<Fn>;
+        r->seq = seq;
+        bk.tail = p + bytes;
         occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
         ++wheel_count_;
+    }
+
+    /**
+     * Give bucket `bk` a fresh chunk to append into — its first, or one
+     * linked behind its full tail chunk — and return the chunk.
+     */
+    std::byte *growBucket(Bucket &bk);
+
+    /** Pop a chunk off the free list, carving a new slab if it is empty. */
+    std::byte *acquireChunk();
+
+    /** Push a drained chunk; the next acquireChunk() reuses it. */
+    void
+    releaseChunk(std::byte *chunk)
+    {
+        new (chunk) std::byte *(free_chunks_);
+        free_chunks_ = chunk;
+    }
+
+    /**
+     * Consume every record of bucket `b` in insertion order — including
+     * records appended by `visit` itself — handing each to `visit`, then
+     * free the bucket's chunks and mark it empty.
+     */
+    template <typename Visit> void drainBucket(std::size_t b, Visit &&visit);
+
+    /** Tick of the wheel bucket `b`, given the residency window. */
+    Tick
+    bucketTick(std::size_t b) const
+    {
+        return search_from_ + ((static_cast<Tick>(b) - search_from_) &
+                               kWheelMask);
     }
 
     /**
@@ -263,6 +392,14 @@ class Engine
     /** Pop and run the front event of bucket `b` (found by findNextBucket). */
     void executeFront(std::ptrdiff_t b);
 
+    /** Mark bucket `b` empty after its last record was consumed. */
+    void
+    clearBucket(std::size_t b)
+    {
+        buckets_[b] = Bucket{};
+        occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    }
+
     std::vector<Bucket> buckets_;
     std::array<std::uint64_t, kBitmapWords> occupied_{};
 
@@ -273,18 +410,31 @@ class Engine
     Tick search_from_ = 0;
     std::size_t wheel_count_ = 0;
 
+    /** An event held outside the wheel. */
+    struct Overflow
+    {
+        Tick when;
+        std::uint64_t seq;
+        Callback cb;
+    };
+
     /** Events at or beyond wheel_limit_, in insertion order. */
-    std::vector<Event> overflow_;
+    std::vector<Overflow> overflow_;
     Tick overflow_min_ = kTickMax;
 
-    /**
-     * Scratch storage for run()'s bucket drain: the current bucket's
-     * events are swapped here and consumed in place, so a callback that
-     * schedules into the (now empty) bucket can never reallocate the
-     * vector being executed. Capacities circulate between buckets
-     * through this vector, keeping the steady state allocation-free.
-     */
-    std::vector<Event> draining_;
+    struct SlabDelete
+    {
+        void
+        operator()(std::byte *slab) const
+        {
+            ::operator delete(slab, std::align_val_t{kChunkBytes});
+        }
+    };
+
+    /** Every slab this engine allocated; chunks never leave the engine. */
+    std::vector<std::unique_ptr<std::byte, SlabDelete>> slabs_;
+    /** LIFO list of free chunks, linked through their first word. */
+    std::byte *free_chunks_ = nullptr;
 
     Tick now_ = 0;
     std::size_t size_ = 0;
@@ -294,10 +444,6 @@ class Engine
     std::uint64_t own_seq_ = 0;
     std::uint64_t *seq_src_ = &own_seq_;
     bool affine_ = false;
-
-    // det-ok: thread-local pointer to the engine this thread is
-    // executing; single writer per thread, never shared across threads.
-    static thread_local Engine *tl_current;
 };
 
 } // namespace hmg

@@ -178,7 +178,9 @@ if [ -n "$HMGLINT" ]; then
 fi
 
 # The baseline file must be a no-op: identical statistics to the
-# default configuration, proven on the full stats dump.
+# default configuration, proven on the full stats dump. The dump is
+# exact (integers as integers, everything else to round-trip
+# precision), so equal dumps mean bit-equal statistics.
 base=$("$HMGSIM" --workload bfs --scale 0.05 --stats 2>&1)
 topo=$("$HMGSIM" --topology "$TOPO_DIR/dgx_4x4.json" \
        --workload bfs --scale 0.05 --stats 2>&1)

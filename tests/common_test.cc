@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <sstream>
+#include <string>
+
 #include "common/config.hh"
 #include "common/intmath.hh"
 #include "common/rng.hh"
@@ -102,6 +106,29 @@ TEST(Stats, RecorderAccumulates)
     EXPECT_DOUBLE_EQ(r.get("missing"), 0);
     EXPECT_DOUBLE_EQ(r.sumPrefix("a."), 8);
     EXPECT_DOUBLE_EQ(r.sumPrefix(""), 15);
+}
+
+// The dump is exact: integer stats print as integers and every other
+// value round-trips, so equal dumps mean equal statistics.
+TEST(Stats, ToStringIsExact)
+{
+    StatRecorder r;
+    r.record("engine.events", 1'311'011);
+    r.record("big", 9007199254740993.0);
+    r.record("neg", -42);
+    r.record("ratio", 0.1);
+    r.record("third", 1.0 / 3.0);
+    r.record("tiny", 1e-300);
+    EXPECT_EQ(r.toString(), "big 9007199254740992\n"
+                            "engine.events 1311011\n"
+                            "neg -42\n"
+                            "ratio 0.10000000000000001\n"
+                            "third 0.33333333333333331\n"
+                            "tiny 1e-300\n");
+    std::istringstream in(r.toString());
+    std::string name, value;
+    while (in >> name >> value)
+        EXPECT_EQ(std::strtod(value.c_str(), nullptr), r.get(name)) << name;
 }
 
 TEST(Stats, MeanStat)

@@ -8,12 +8,18 @@
  * the overflow path), and differentially — a randomized dynamically
  * scheduling program is run on the Engine and on a reference
  * priority-queue implementation and must produce identical execution
- * sequences.
+ * sequences. Closure sizes range from one pointer to beyond a 4 KiB
+ * record chunk, so records straddle chunk boundaries and the boxed
+ * fallback is taken.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <queue>
 #include <utility>
@@ -69,9 +75,69 @@ class ReferenceEngine
 };
 
 /**
+ * Schedule `fire(id)` on `e` through a closure carrying `Pad` bytes of
+ * payload, filled with a pattern of `id` that is checked when it runs —
+ * a record overwritten or torn by the engine fails the check.
+ */
+template <std::size_t Pad, typename EngineT>
+void
+schedulePadded(EngineT &e, Tick delay,
+               const std::function<void(int)> &fire, int id)
+{
+    std::array<unsigned char, Pad> pad;
+    for (std::size_t i = 0; i < Pad; ++i)
+        pad[i] = static_cast<unsigned char>(id + i);
+    e.schedule(delay, [&fire, id, pad]() {
+        for (std::size_t i = 0; i < Pad; ++i)
+            EXPECT_EQ(pad[i], static_cast<unsigned char>(id + i))
+                << "closure payload of event " << id;
+        fire(id);
+    });
+}
+
+/** A closure of exactly one pointer: the smallest record. */
+struct Spawn
+{
+    const std::function<void(int)> *fire;
+    int id;
+};
+
+/**
+ * Schedule `fire(id)` through a closure whose size is picked by `rng`:
+ * from one pointer (8 B) past a 4 KiB record chunk, including the sizes
+ * either side of the largest record a chunk holds.
+ */
+template <typename EngineT>
+void
+scheduleRandomSize(EngineT &e, Rng &rng, Tick delay,
+                   const std::function<void(int)> &fire, int id,
+                   std::deque<Spawn> &spawns)
+{
+    switch (rng.below(11)) {
+    case 0: {
+        spawns.push_back(Spawn{&fire, id});
+        const Spawn *s = &spawns.back();
+        e.schedule(delay, [s]() { (*s->fire)(s->id); });
+        break;
+    }
+    case 1: schedulePadded<4>(e, delay, fire, id); break;
+    case 2: schedulePadded<36>(e, delay, fire, id); break;
+    case 3: schedulePadded<100>(e, delay, fire, id); break;
+    case 4: schedulePadded<230>(e, delay, fire, id); break;
+    case 5: schedulePadded<700>(e, delay, fire, id); break;
+    case 6: schedulePadded<1500>(e, delay, fire, id); break;
+    case 7: schedulePadded<4040>(e, delay, fire, id); break;
+    case 8: schedulePadded<4052>(e, delay, fire, id); break;
+    case 9: schedulePadded<4060>(e, delay, fire, id); break;
+    default: schedulePadded<6000>(e, delay, fire, id); break;
+    }
+}
+
+/**
  * A randomized program where events spawn 0-2 children at mixed
- * near-future and far-future (overflow-path) delays. Returns the
- * (tick, id) execution sequence.
+ * near-future, same-tick and far-future (overflow-path) delays, each
+ * through a closure of random size. Returns the (tick, id) execution
+ * sequence.
  */
 template <typename EngineT>
 std::vector<std::pair<Tick, int>>
@@ -80,6 +146,7 @@ runRandomProgram(std::uint64_t seed)
     EngineT e;
     Rng rng(seed);
     std::vector<std::pair<Tick, int>> log;
+    std::deque<Spawn> spawns;
     int next_id = 0;
 
     std::function<void(int)> fire = [&](int id) {
@@ -88,20 +155,30 @@ runRandomProgram(std::uint64_t seed)
             return;
         const auto kids = rng.below(3);
         for (std::uint64_t k = 0; k < kids; ++k) {
-            const Tick d = rng.chance(0.15)
-                               ? rng.range(15'000, 200'000)
-                               : rng.below(1'200);
-            const int child = next_id++;
-            e.schedule(d, [&fire, child]() { fire(child); });
+            const Tick d = rng.chance(0.15)   ? rng.range(15'000, 200'000)
+                           : rng.chance(0.1) ? 0
+                                             : rng.below(1'200);
+            scheduleRandomSize(e, rng, d, fire, next_id++, spawns);
         }
     };
-    for (int i = 0; i < 64; ++i) {
-        const int id = next_id++;
-        e.schedule(rng.below(50'000), [&fire, id]() { fire(id); });
-    }
+    for (int i = 0; i < 64; ++i)
+        scheduleRandomSize(e, rng, rng.below(50'000), fire, next_id++,
+                           spawns);
     e.run();
     return log;
 }
+
+/** Counts live copies of itself through a shared counter. */
+struct LiveCounted
+{
+    explicit LiveCounted(int *live) : live(live) { ++*live; }
+    LiveCounted(const LiveCounted &o) : live(o.live) { ++*live; }
+    LiveCounted(LiveCounted &&o) noexcept : live(o.live) { ++*live; }
+    LiveCounted &operator=(const LiveCounted &) = delete;
+    ~LiveCounted() { --*live; }
+
+    int *live;
+};
 
 TEST(Engine, StartsAtZero)
 {
@@ -281,15 +358,164 @@ TEST(Engine, CallbackInlineStorage)
 
 // The differential check: Engine must replay the exact execution
 // sequence of the reference (tick, seq) priority queue on randomized
-// dynamically scheduling programs.
+// dynamically scheduling programs with closures of every record size.
 TEST(Engine, MatchesReferenceEngineOnRandomPrograms)
 {
-    for (std::uint64_t seed : {1ull, 42ull, 0xfeedu * 1ull}) {
+    for (std::uint64_t seed : {1ull, 42ull, 0xfeedu * 1ull, 7ull, 99ull}) {
         const auto expected = runRandomProgram<ReferenceEngine>(seed);
         const auto actual = runRandomProgram<Engine>(seed);
         ASSERT_FALSE(expected.empty());
         EXPECT_EQ(actual, expected) << "seed " << seed;
     }
+}
+
+// A drain that keeps appending same-tick events runs them in insertion
+// order even when the appends fill several record chunks.
+TEST(Engine, SameTickAppendsDuringDrainCrossChunks)
+{
+    Engine e;
+    std::vector<int> order;
+    std::array<unsigned char, 200> pad{};
+    std::function<void(int)> step = [&](int i) {
+        order.push_back(i);
+        if (i < 300)
+            e.schedule(0, [&step, i, pad]() { (void)pad; step(i + 1); });
+    };
+    e.schedule(5, [&]() {
+        // 40 records of 232 bytes fill two chunks before this event
+        // returns; the step chain then appends 300 more behind them.
+        for (int k = 0; k < 40; ++k)
+            e.schedule(0, [&order, k, pad]() {
+                (void)pad;
+                order.push_back(-1 - k);
+            });
+        step(0);
+    });
+    e.run();
+    std::vector<int> expected;
+    for (int k = 0; k < 40; ++k)
+        expected.push_back(-1 - k);
+    expected.insert(expected.begin() + 0, 0);
+    for (int i = 1; i <= 300; ++i)
+        expected.push_back(i);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(e.now(), 5u);
+    EXPECT_TRUE(e.empty());
+    EXPECT_EQ(e.eventsExecuted(), 1u + 40u + 300u);
+}
+
+// peekNext()/runOne() — the deterministic merge's interface — report
+// and execute (tick, seq) in order while the records span many chunks
+// and executed events append more same-tick ones behind them.
+TEST(Engine, PeekAndRunOneAcrossChunks)
+{
+    Engine e;
+    std::vector<std::pair<Tick, std::uint64_t>> seen;
+    std::array<unsigned char, 500> pad{};
+    int appended = 0;
+    for (int i = 0; i < 60; ++i)
+        e.scheduleAt(10 + i % 3, [&, pad]() {
+            (void)pad;
+            if (appended < 30) {
+                ++appended;
+                e.schedule(0, [pad]() { (void)pad; });
+            }
+        });
+    Tick when;
+    std::uint64_t seq;
+    while (e.peekNext(when, seq)) {
+        seen.emplace_back(when, seq);
+        EXPECT_TRUE(e.runOne());
+        EXPECT_EQ(e.now(), when);
+    }
+    EXPECT_FALSE(e.runOne());
+    ASSERT_EQ(seen.size(), 90u);
+    for (std::size_t i = 1; i < seen.size(); ++i)
+        EXPECT_LT(seen[i - 1], seen[i]) << "at " << i;
+    // Tick 10 runs its 20 scheduled events, then the 20 they appended
+    // (seq 60..79); tick 11 appends the other 10, tick 12 none.
+    EXPECT_EQ(seen[20], (std::pair<Tick, std::uint64_t>{10, 60}));
+    EXPECT_EQ(seen[39], (std::pair<Tick, std::uint64_t>{10, 79}));
+    EXPECT_EQ(seen.back(), (std::pair<Tick, std::uint64_t>{12, 59}));
+}
+
+// A schedule below the resident window (possible only on an engine that
+// has not run up to the window, as an idle PDES LP) spills the wheel back
+// to the overflow list; the re-sweep keeps every event's (tick, seq).
+TEST(Engine, SpillToOverflowPreservesTickAndSeq)
+{
+    Engine e;
+    std::array<unsigned char, 300> pad{};
+    std::vector<std::pair<Tick, std::uint64_t>> expected;
+    std::uint64_t seq = 0;
+    auto add = [&](Tick t, bool big) {
+        if (big)
+            e.scheduleAt(t, [pad]() { (void)pad; });
+        else
+            e.scheduleAt(t, []() {});
+        expected.emplace_back(t, seq++);
+    };
+    for (int i = 0; i < 50; ++i)
+        add(100'000 + i % 4, i % 2 == 0);
+    add(300'000, false);
+    Tick when;
+    std::uint64_t s;
+    // The peek sweeps the window to [100'000, 100'000 + 2^14).
+    ASSERT_TRUE(e.peekNext(when, s));
+    EXPECT_EQ(when, 100'000u);
+    EXPECT_EQ(s, 0u);
+    EXPECT_EQ(e.now(), 0u);
+    for (int i = 0; i < 30; ++i)
+        add(50 + i % 5, i % 3 == 0);
+    add(100'001, true);   // same tick as wheel events, behind them
+    std::sort(expected.begin(), expected.end());
+    std::vector<std::pair<Tick, std::uint64_t>> seen;
+    while (e.peekNext(when, s)) {
+        seen.emplace_back(when, s);
+        e.runOne();
+    }
+    EXPECT_EQ(seen, expected);
+    EXPECT_EQ(e.eventsExecuted(), expected.size());
+}
+
+// Destroying an engine with pending events destroys every pending
+// closure: in the wheel (several chunks, a partly drained bucket), in
+// the overflow list, and boxed ones too large for a chunk.
+TEST(Engine, DestructorDestroysPendingClosures)
+{
+    int live = 0;
+    int ran = 0;
+    {
+        Engine e;
+        std::array<unsigned char, 900> pad{};
+        std::array<unsigned char, 5000> huge{};
+        for (int i = 0; i < 20; ++i) {
+            e.scheduleAt(7, [c = LiveCounted(&live), &ran, pad]() {
+                (void)pad;
+                ++ran;
+            });
+            e.scheduleAt(9 + i, [c = LiveCounted(&live)]() {});
+            e.scheduleAt(1'000'000 + i, [c = LiveCounted(&live)]() {});
+            e.scheduleAt(20 + i, [c = LiveCounted(&live), huge]() {
+                (void)huge;
+            });
+        }
+        EXPECT_EQ(live, 80);
+        for (int i = 0; i < 6; ++i)
+            ASSERT_TRUE(e.runOne());
+        EXPECT_EQ(ran, 6);
+        EXPECT_EQ(live, 74);
+        EXPECT_EQ(e.pending(), 74u);
+    }
+    EXPECT_EQ(live, 0);
+    {
+        Engine e;
+        for (int i = 0; i < 10; ++i)
+            e.scheduleAt(3 + i, [c = LiveCounted(&live)]() {});
+        e.run(6);
+        EXPECT_EQ(live, 6);
+    }
+    EXPECT_EQ(live, 0);
 }
 
 } // namespace

@@ -47,6 +47,8 @@ struct Delivery
 struct RunResult
 {
     std::vector<Delivery> deliveries;
+    /** StatRecorder::toString(): exact, so string equality is bit
+     *  equality of every stat. */
     std::string stats;
 };
 
@@ -133,7 +135,8 @@ TEST(TransportProperty, IdenticalSeedsAreBitIdentical)
     for (std::size_t i = 0; i < a.deliveries.size(); ++i)
         ASSERT_TRUE(a.deliveries[i] == b.deliveries[i]) << "index " << i;
     // Every stat — per-port byte counts, utilizations, queue depths,
-    // delay histograms — must also agree exactly.
+    // delay histograms — must also agree exactly: the dump prints each
+    // value to round-trip precision, so equal strings mean equal bits.
     EXPECT_EQ(a.stats, b.stats);
 }
 
