@@ -16,9 +16,9 @@ Cache::LoadResult
 Cache::load(Addr line_addr)
 {
     ++loads_;
-    if (CacheLine *line = tags_.lookup(line_addr)) {
+    if (TagArray::Line line = tags_.lookup(line_addr)) {
         ++load_hits_;
-        return {true, line->version};
+        return {true, line.version()};
     }
     return {false, 0};
 }
@@ -28,44 +28,37 @@ Cache::store(Addr line_addr, Version version, bool mark_dirty,
              bool serialized)
 {
     ++stores_;
-    if (CacheLine *line = tags_.lookup(line_addr)) {
+    if (TagArray::Line line = tags_.lookup(line_addr)) {
         ++store_hits_;
-        if (serialized || line->version < version)
-            line->version = version;
-        line->dirty = line->dirty || mark_dirty;
+        if (serialized || line.version() < version)
+            line.version() = version;
+        if (mark_dirty)
+            line.setDirty(true);
         return true;
     }
     if (!write_allocate_)
         return false;
     CacheLine evicted;
-    CacheLine *line = tags_.insert(line_addr, &evicted);
+    TagArray::Line line = tags_.insert(line_addr, &evicted);
     if (evicted.valid) {
         ++evictions_;
         if (eviction_hook_)
             eviction_hook_(evicted);
     }
-    line->version = version;
-    line->dirty = mark_dirty;
+    line.version() = version;
+    line.setDirty(mark_dirty);
     return true;
 }
 
 std::uint64_t
 Cache::flushDirty(const std::function<void(CacheLine)> &fn)
 {
-    std::uint64_t n = 0;
     // Collect first: the callback may touch the cache.
     std::vector<CacheLine> dirty;
-    tags_.forEachValidMutable([&](CacheLine &line) {
-        if (line.dirty) {
-            dirty.push_back(line);
-            line.dirty = false;
-        }
-    });
-    for (auto &line : dirty) {
+    tags_.cleanDirty([&](const CacheLine &line) { dirty.push_back(line); });
+    for (const CacheLine &line : dirty)
         fn(line);
-        ++n;
-    }
-    return n;
+    return dirty.size();
 }
 
 std::uint64_t
@@ -84,15 +77,15 @@ Cache::fill(Addr line_addr, Version version)
 {
     ++fills_;
     CacheLine evicted;
-    CacheLine *line = tags_.insert(line_addr, &evicted);
+    TagArray::Line line = tags_.insert(line_addr, &evicted);
     if (evicted.valid) {
         ++evictions_;
         if (eviction_hook_)
             eviction_hook_(evicted);
     }
     // A racing store may have left a newer version in place; keep it.
-    if (line->version < version)
-        line->version = version;
+    if (line.version() < version)
+        line.version() = version;
 }
 
 bool
@@ -118,14 +111,14 @@ Cache::invalidateRangeCollect(Addr base, std::uint64_t bytes,
                               std::vector<CacheLine> &dropped)
 {
     std::uint64_t n = 0;
+    CacheLine line;
     for (Addr a = base; a < base + bytes; a += tags_.lineBytes()) {
-        if (const CacheLine *line = tags_.peek(a)) {
-            dropped.push_back(*line);
-            tags_.invalidate(a);
-            ++invalidated_lines_;
+        if (tags_.invalidate(a, &line)) {
+            dropped.push_back(line);
             ++n;
         }
     }
+    invalidated_lines_ += n;
     return n;
 }
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,9 +102,13 @@ class Cache
     std::uint64_t invalidateAll();
 
     /** Peek without statistics or LRU update. */
-    const CacheLine *peek(Addr line_addr) const { return tags_.peek(line_addr); }
+    std::optional<CacheLine>
+    peek(Addr line_addr) const
+    {
+        return tags_.peek(line_addr);
+    }
 
-    bool contains(Addr line_addr) const { return peek(line_addr) != nullptr; }
+    bool contains(Addr line_addr) const { return peek(line_addr).has_value(); }
 
     // Statistics.
     std::uint64_t loads() const { return loads_; }
@@ -114,7 +119,6 @@ class Cache
     std::uint64_t evictions() const { return evictions_; }
     std::uint64_t invalidatedLines() const { return invalidated_lines_; }
     std::uint64_t bulkInvalidations() const { return bulk_invalidations_; }
-    std::uint64_t validLines() const { return tags_.validCount(); }
 
     void reportStats(StatRecorder &r, const std::string &prefix) const;
 

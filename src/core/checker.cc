@@ -373,7 +373,7 @@ CoherenceChecker::checkStructural(Addr line)
     const GpmId home = ctx_.pages.homeOf(line);
     std::uint32_t dirty_copies = 0;
     for (GpmId g = 0; g < ctx_.cfg.totalGpms(); ++g) {
-        const CacheLine *cl = ctx_.gpm(g).l2().peek(line);
+        const std::optional<CacheLine> cl = ctx_.gpm(g).l2().peek(line);
         if (!cl)
             continue;
         if (cl->dirty) {

@@ -20,12 +20,12 @@ GpmNode::GpmNode(Engine &engine, const SystemConfig &cfg, GpmId id,
 }
 
 void
-GpmNode::ingress(const Message &m, Tick arrival)
+GpmNode::ingress(const Packet &p, Tick arrival)
 {
     (void)arrival;
-    hmg_assert(m.dst == id_);
-    ++rx_count_[static_cast<std::size_t>(m.type)];
-    rx_bytes_ += m.bytes;
+    hmg_assert(p.dst == id_);
+    ++rx_count_[static_cast<std::size_t>(p.type)];
+    rx_bytes_ += p.bytes;
 }
 
 void

@@ -49,7 +49,7 @@ class GpmNode
      * accounts per-class receive traffic here; the protocol-level
      * reaction is the message's own arrival continuation.
      */
-    void ingress(const Message &m, Tick arrival);
+    void ingress(const Packet &p, Tick arrival);
 
     std::uint64_t messagesReceived(MsgType t) const
     {

@@ -31,8 +31,8 @@ System::System(const SystemConfig &cfg)
 
     // Every delivered message passes through the destination node's
     // ingress dispatch for per-class receive accounting.
-    net_->setDeliveryHook([this](const Message &m, Tick at) {
-        gpms_[m.dst]->ingress(m, at);
+    net_->setDeliveryHook([this](const Packet &p, Tick at) {
+        gpms_[p.dst]->ingress(p, at);
     });
 
     ctx_ = std::make_unique<SystemContext>(SystemContext{

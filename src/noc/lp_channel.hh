@@ -11,6 +11,11 @@
  * tick (>= the next window start, by the lookahead argument — the
  * channel's latency IS the lookahead).
  *
+ * Arrival closures stay LP-affine: send() moves a packet's closure out
+ * of the source LP's ArrivalSlab into the parcel, and drain() re-parks
+ * it in the destination LP's slab before pushing the packet on. The
+ * barrier is exclusive, so neither slab needs a lock.
+ *
  * Flow control mirrors the serial credit scheme with a shadow counter:
  * the source side charges every sent message against the destination
  * input's real pool capacity and the destination's pops return credits
@@ -31,6 +36,7 @@
 #include <cstdint>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/types.hh"
@@ -49,9 +55,16 @@ class LpChannel
      * @param dst the destination LP's ingress port
      * @param dst_input the input slot this channel feeds
      * @param capacity byte credit pool (== the real pool of that input)
+     * @param src_slab the source LP's arrival slab
+     * @param dst_slab the destination LP's arrival slab
      */
-    LpChannel(Port &dst, std::uint32_t dst_input, std::uint64_t capacity)
-        : dst_(dst), dst_input_(dst_input), capacity_(capacity)
+    LpChannel(Port &dst, std::uint32_t dst_input, std::uint64_t capacity,
+              ArrivalSlab &src_slab, ArrivalSlab &dst_slab)
+        : dst_(dst),
+          dst_input_(dst_input),
+          capacity_(capacity),
+          src_slab_(src_slab),
+          dst_slab_(dst_slab)
     {
     }
 
@@ -60,13 +73,17 @@ class LpChannel
     /** Same overshoot-by-one-message rule as Port::canAccept. */
     bool canSend() const { return in_flight_bytes_ < capacity_; }
 
-    /** Queue a message that arrives at absolute tick `arrival`. */
+    /** Queue a packet that arrives at absolute tick `arrival`, taking
+     *  its arrival closure out of the source LP's slab. */
     void
-    send(Tick arrival, Message &&m)
+    send(Tick arrival, const Packet &p)
     {
         hmg_assert(in_flight_bytes_ < capacity_);
-        in_flight_bytes_ += m.bytes;
-        outbox_.push_back(Parcel{arrival, std::move(m)});
+        in_flight_bytes_ += p.bytes;
+        outbox_.push_back(
+            Parcel{arrival, p,
+                   p.slot == ArrivalSlab::kNoSlot ? MsgCallback{}
+                                                  : src_slab_.take(p.slot)});
     }
 
     // ---- destination-LP thread, during a window ----
@@ -90,14 +107,13 @@ class LpChannel
     std::pair<std::uint64_t, std::uint64_t>
     drain()
     {
-        std::uint64_t delivered = 0;
-        while (!outbox_.empty()) {
-            Parcel p = std::move(outbox_.front());
-            outbox_.pop_front();
-            pending_credit_bytes_.push_back(p.msg.bytes);
-            dst_.push(dst_input_, p.arrival, std::move(p.msg));
-            ++delivered;
+        for (Parcel &p : outbox_) {
+            pending_credit_bytes_.push_back(p.pkt.bytes);
+            p.pkt.slot = dst_slab_.park(std::move(p.onArrival));
+            dst_.push(dst_input_, p.arrival, p.pkt);
         }
+        const std::uint64_t delivered = outbox_.size();
+        outbox_.clear();
         const std::uint64_t credits = returned_bytes_;
         returned_bytes_ = 0;
         hmg_assert(in_flight_bytes_ >= credits);
@@ -111,17 +127,23 @@ class LpChannel
     struct Parcel
     {
         Tick arrival = 0;
-        Message msg;
+        Packet pkt;
+        MsgCallback onArrival;
     };
 
     Port &dst_;
     std::uint32_t dst_input_;
     std::uint64_t capacity_;
+    ArrivalSlab &src_slab_;
+    ArrivalSlab &dst_slab_;
 
     /** Source side: bytes sent and not yet credited back. */
     std::uint64_t in_flight_bytes_ = 0;
-    /** Source side: messages awaiting the barrier hand-off. */
-    std::deque<Parcel> outbox_;
+    /** Source side: messages awaiting the barrier hand-off. A vector
+     *  the barrier empties but never frees, so the source thread
+     *  refills kept capacity: no allocation by one thread freed by
+     *  another. */
+    std::vector<Parcel> outbox_;
 
     /** Destination side: sizes of delivered-but-unpopped messages
      *  (filled by the main thread at delivery, consumed FIFO by the

@@ -86,6 +86,7 @@ Network::init()
     const Tick node_half = cfg.interNodeHopLatency / 2;
     const Tick node_rest = cfg.interNodeHopLatency - node_half;
     const std::uint32_t locals = cfg.gpmsPerGpu;
+    slabs_.resize(concurrent() ? lps_->numLps() : 1);
 
     // In TimeWindow mode a multi-node machine must be cut at node
     // boundaries (sim/lp.cc clamps its plans accordingly): the node
@@ -181,7 +182,8 @@ Network::init()
                 xlp_[std::size_t{su} * cfg.numGpus + du] =
                     std::make_unique<LpChannel>(
                         *gpu_ingress_[du], su,
-                        gpu_ingress_[du]->capacityBytes());
+                        gpu_ingress_[du]->capacityBytes(), slabOfGpu(su),
+                        slabOfGpu(du));
             }
         }
     }
@@ -194,7 +196,8 @@ Network::init()
                 xlp_node_[std::size_t{sn} * cfg.numNodes + dn] =
                     std::make_unique<LpChannel>(
                         *node_ingress_[dn], sn,
-                        node_ingress_[dn]->capacityBytes());
+                        node_ingress_[dn]->capacityBytes(),
+                        slabOfNode(sn), slabOfNode(dn));
             }
         }
     }
@@ -203,17 +206,16 @@ Network::init()
     // function of (src, dst), so a given pair contends in one queue per
     // hop and its delivery order stays FIFO (see noc/port.hh).
     for (std::uint32_t g = 0; g < cfg.totalGpms(); ++g) {
-        gpm_egress_[g]->setRoute([this](const Message &m) -> Port::Route {
-            if (sameGpu(m.src, m.dst))
-                return {gpm_ingress_[m.dst].get(), cfg_.localGpmOf(m.src)};
-            return {gpu_egress_[cfg_.gpuOf(m.src)].get(),
-                    cfg_.localGpmOf(m.src)};
+        gpm_egress_[g]->setRoute([this](const Packet &p) -> Port::Route {
+            if (sameGpu(p.src, p.dst))
+                return {gpm_ingress_[p.dst].get(), cfg_.localGpmOf(p.src)};
+            return {gpu_egress_[cfg_.gpuOf(p.src)].get(),
+                    cfg_.localGpmOf(p.src)};
         });
         gpm_egress_[g]->setUpstream(0, [this, g]() { feedNic(g); });
 
-        gpm_ingress_[g]->setDeliver([this](Message &&m, Tick at) {
-            deliver(std::move(m), at);
-        });
+        gpm_ingress_[g]->setDeliver(
+            [this](const Packet &p, Tick at) { deliver(p, at); });
         const GpuId u = cfg.gpuOf(g);
         for (std::uint32_t l = 0; l < locals; ++l) {
             const GpmId sib = cfg.gpmId(u, l);
@@ -224,13 +226,13 @@ Network::init()
             locals, [this, u]() { gpu_ingress_[u]->pump(); });
     }
     for (std::uint32_t u = 0; u < cfg.numGpus; ++u) {
-        gpu_egress_[u]->setRoute([this](const Message &m) -> Port::Route {
-            const GpuId su = cfg_.gpuOf(m.src);
-            const GpuId du = cfg_.gpuOf(m.dst);
+        gpu_egress_[u]->setRoute([this](const Packet &p) -> Port::Route {
+            const GpuId su = cfg_.gpuOf(p.src);
+            const GpuId du = cfg_.gpuOf(p.dst);
             // Cross-node traffic climbs into the node uplink; the
             // branch is never taken on single-node machines (inject()
             // rejects nothing, but sameNode() is then always true).
-            if (!sameNode(m.src, m.dst))
+            if (!sameNode(p.src, p.dst))
                 return {node_egress_[cfg_.nodeOf(su)].get(),
                         cfg_.localGpuOf(su)};
             // Cross-LP switch hop: dispatch into the boundary channel
@@ -247,8 +249,8 @@ Network::init()
                 l, [this, src]() { gpm_egress_[src]->pump(); });
         }
 
-        gpu_ingress_[u]->setRoute([this](const Message &m) -> Port::Route {
-            return {gpm_ingress_[m.dst].get(), cfg_.gpmsPerGpu};
+        gpu_ingress_[u]->setRoute([this](const Packet &p) -> Port::Route {
+            return {gpm_ingress_[p.dst].get(), cfg_.gpmsPerGpu};
         });
         for (std::uint32_t su = 0; su < cfg.numGpus; ++su) {
             if (LpChannel *ch = channel(su, u)) {
@@ -274,9 +276,9 @@ Network::init()
     }
     for (std::uint32_t n = 0; multiNode() && n < cfg.numNodes; ++n) {
         node_egress_[n]->setRoute(
-            [this](const Message &m) -> Port::Route {
-                const NodeId sn = cfg_.nodeOfGpm(m.src);
-                const NodeId dn = cfg_.nodeOfGpm(m.dst);
+            [this](const Packet &p) -> Port::Route {
+                const NodeId sn = cfg_.nodeOfGpm(p.src);
+                const NodeId dn = cfg_.nodeOfGpm(p.dst);
                 // Cross-LP node hop: the boundary channel feeds the
                 // destination node's switch ingress at the barrier.
                 if (LpChannel *ch = nodeChannel(sn, dn))
@@ -290,10 +292,10 @@ Network::init()
         }
 
         node_ingress_[n]->setRoute(
-            [this](const Message &m) -> Port::Route {
-                const GpuId du = cfg_.gpuOf(m.dst);
+            [this](const Packet &p) -> Port::Route {
+                const GpuId du = cfg_.gpuOf(p.dst);
                 return {gpu_ingress_[du].get(),
-                        cfg_.numGpus + cfg_.nodeOfGpm(m.src)};
+                        cfg_.numGpus + cfg_.nodeOfGpm(p.src)};
             });
         for (std::uint32_t sn = 0; sn < cfg.numNodes; ++sn) {
             if (LpChannel *ch = nodeChannel(sn, n)) {
@@ -340,21 +342,23 @@ Network::inject(Message m)
     hmg_assert(!concurrent() ||
                LpDomain::currentLp() == lps_->lpOfGpm(m.src));
 
-    m.bytes = msgBytes(cfg_, m.type);
-    const auto ti = static_cast<std::size_t>(m.type);
+    // The closure is parked once, in the source LP's slab; from here
+    // on the fabric moves only the 32-byte packet.
+    const Packet p{m.src, m.dst, m.type, msgBytes(cfg_, m.type),
+                   slabOfGpm(m.src).park(std::move(m.onArrival)), m.addr};
+    const auto ti = static_cast<std::size_t>(p.type);
     // Byte/message accounting happens at injection: the traffic exists
     // the moment the protocol emits it, whatever the fabric later does
     // with it. (Per-hop occupancy is tracked by the ports themselves.)
     ++msg_count_[ti];
-    intra_bytes_[ti] += m.bytes;
-    if (!sameGpu(m.src, m.dst))
-        inter_bytes_[ti] += m.bytes;
-    if (!sameNode(m.src, m.dst))
-        inter_node_bytes_[ti] += m.bytes;
+    intra_bytes_[ti] += p.bytes;
+    if (!sameGpu(p.src, p.dst))
+        inter_bytes_[ti] += p.bytes;
+    if (!sameNode(p.src, p.dst))
+        inter_node_bytes_[ti] += p.bytes;
 
-    const GpmId src = m.src;
-    nic_[src].push_back(std::move(m));
-    feedNic(src);
+    nic_[p.src].push_back(p);
+    feedNic(p.src);
 }
 
 void
@@ -364,9 +368,8 @@ Network::feedNic(GpmId src)
     Port &egress = *gpm_egress_[src];
     const Tick now = engOfGpm(src).now();
     while (!nic.empty() && egress.canAccept(0)) {
-        Message m = std::move(nic.front());
+        egress.push(0, now, nic.front());
         nic.pop_front();
-        egress.push(0, now, std::move(m));
     }
     drainInjectWaiters(src);
 }
@@ -398,17 +401,22 @@ Network::drainInjectWaiters(GpmId src)
 }
 
 void
-Network::deliver(Message &&m, Tick arrival)
+Network::deliver(const Packet &p, Tick arrival)
 {
     ++delivered_;
     if (delivery_hook_)
-        delivery_hook_(m, arrival);
-    if (m.onArrival) {
+        delivery_hook_(p, arrival);
+    if (p.slot != ArrivalSlab::kNoSlot) {
         // The final hop runs on the destination LP's engine; schedule
         // there. Engine::current() is that engine inside a run loop and
-        // null during setup/drain, where engine_ (LP 0) is correct.
+        // null during setup/drain, where engine_ (LP 0) is correct. The
+        // event carries only the slot; it takes the closure out before
+        // running it, because the closure may inject (and so park).
         Engine *e = Engine::current();
-        (e ? *e : engine_).scheduleAt(arrival, std::move(m.onArrival));
+        ArrivalSlab *slab = &slabOfGpm(p.dst);
+        const std::uint32_t slot = p.slot;
+        (e ? *e : engine_).scheduleAt(
+            arrival, [slab, slot]() { slab->take(slot).consume(); });
     }
 }
 

@@ -35,8 +35,9 @@
  * stays FIFO, which the protocols' release/invalidation-drain logic
  * requires.
  *
- * Producers construct typed Messages and inject() them. Injection
- * lands in an unbounded per-GPM NIC queue (so protocol logic can never
+ * Producers construct typed Messages and inject() them. Injection parks
+ * the arrival closure in an ArrivalSlab and lands the message's 32-byte
+ * Packet in an unbounded per-GPM NIC queue (so protocol logic can never
  * deadlock against the fabric); the NIC feeds the GPM's egress port as
  * credits free up, and the SM store path observes the NIC backlog via
  * whenInjectable() to throttle issue under congestion.
@@ -85,19 +86,20 @@ class Network
     ~Network();
 
     /**
-     * Queue a typed message for transport. `m.bytes` is derived from
-     * `m.type` here; `m.onArrival` runs at the delivery tick, after the
+     * Queue a typed message for transport: park `m.onArrival` in the
+     * source LP's slab and send a Packet whose wire size is derived
+     * from `m.type`. The closure runs at the delivery tick, after the
      * last hop. Never blocks (the NIC queue is unbounded); senders that
      * should feel backpressure poll injectionBacklog()/whenInjectable().
      */
     void inject(Message m);
 
     /**
-     * Observer invoked when a message is dispatched by its final
+     * Observer invoked when a packet is dispatched by its final
      * ingress port, before the arrival continuation runs; the System
      * routes it to the destination GpmNode's ingress accounting.
      */
-    using DeliveryHook = std::function<void(const Message &, Tick)>;
+    using DeliveryHook = std::function<void(const Packet &, Tick)>;
     void setDeliveryHook(DeliveryHook hook)
     {
         delivery_hook_ = std::move(hook);
@@ -213,7 +215,18 @@ class Network
     void drainInjectWaiters(GpmId src);
 
     /** Final-hop dispatch: account, observe, schedule the arrival. */
-    void deliver(Message &&m, Tick arrival);
+    void deliver(const Packet &p, Tick arrival);
+
+    /** The arrival slab of the LP owning GPM `g` (see slabs_). */
+    ArrivalSlab &slabOfGpm(GpmId g)
+    {
+        return slabs_[concurrent() ? lps_->lpOfGpm(g) : 0];
+    }
+    ArrivalSlab &slabOfGpu(GpuId u) { return slabOfGpm(cfg_.gpmId(u, 0)); }
+    ArrivalSlab &slabOfNode(NodeId n)
+    {
+        return slabOfGpu(cfg_.gpuId(n, 0));
+    }
 
     // --- per-LP engine resolution (all return engine_ when unpartitioned)
     Engine &engOfGpm(GpmId g);
@@ -232,6 +245,12 @@ class Network
     Engine &engine_;
     LpDomain *lps_ = nullptr;
     const SystemConfig &cfg_;
+
+    /** Arrival closures of in-flight packets: one slab per LP in
+     *  TimeWindow mode (each touched only by its LP's thread, and by
+     *  the main thread inside the barrier), one shared slab otherwise.
+     *  Sized once in init(); channels hold references into it. */
+    std::vector<ArrivalSlab> slabs_;
 
     // Ports are non-movable (they hold an Engine&), hence unique_ptr.
     std::vector<std::unique_ptr<Port>> gpm_egress_;
@@ -256,7 +275,7 @@ class Network
 
     /** Per-GPM injection queues (unbounded; see file comment). Each is
      *  touched only by its owning LP's thread. */
-    std::vector<std::deque<Message>> nic_;
+    std::vector<std::deque<Packet>> nic_;
     std::vector<std::deque<InjectWaiter>> inject_waiters_;
     /** Not vector<bool>: per-GPM flags must not share packed bits when
      *  neighbouring GPMs live on different LP threads. */

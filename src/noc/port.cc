@@ -15,7 +15,9 @@ Port::Port(Engine &engine, double bytes_per_cycle, Tick latency,
       wire_(bytes_per_cycle),
       latency_(latency),
       capacity_(capacity_bytes),
-      inputs_(num_inputs)
+      inputs_(num_inputs),
+      head_ready_(num_inputs, kTickMax),
+      unarrived_ready_(num_inputs, kTickMax)
 {
     hmg_assert(num_inputs > 0);
     hmg_assert(capacity_bytes > 0);
@@ -28,32 +30,35 @@ Port::setUpstream(std::uint32_t input, NotifyFn notify)
 }
 
 void
-Port::push(std::uint32_t input, Tick ready, Message &&m)
+Port::push(std::uint32_t input, Tick ready, const Packet &p)
 {
     Input &in = inputs_.at(input);
     hmg_assert(in.arrived_bytes < capacity_);
     hmg_assert(ready >= engine_.now());
-    hmg_assert(m.bytes > 0);
+    hmg_assert(p.bytes > 0);
     if (ready <= engine_.now()) {
         ++in.arrived;
-        in.arrived_bytes += m.bytes;
+        ++arrived_total_;
+        in.arrived_bytes += p.bytes;
     }
-    in.q.push_back(Transit{ready, std::move(m)});
+    in.q.push_back(Transit{ready, p});
+    refresh(input);
     ++depth_;
     schedulePump(ready);
 }
 
 void
-Port::requeueFront(std::uint32_t input, Tick ready, Message &&m)
+Port::requeueFront(std::uint32_t input, Tick ready, const Packet &p)
 {
     Input &in = inputs_[input];
     // The head never left: it still holds its credits (no upstream
     // notification either) and goes back in front of everything that
     // queued behind it, so per-(src,dst) FIFO order survives the loss.
-    const std::uint32_t bytes = m.bytes;
-    in.q.push_front(Transit{ready, std::move(m)});
+    in.q.push_front(Transit{ready, p});
     ++in.arrived;
-    in.arrived_bytes += bytes;
+    ++arrived_total_;
+    in.arrived_bytes += p.bytes;
+    refresh(input);
     ++depth_;
     hmg_assert(ready > engine_.now()); // retry ticks are always future
     schedulePump(ready);
@@ -81,28 +86,40 @@ Tick
 Port::nextHeadArrival(Tick now) const
 {
     Tick next = 0;
-    for (const Input &in : inputs_) {
-        if (in.q.empty() || in.q.front().ready <= now)
+    for (const Tick ready : head_ready_) {
+        if (ready <= now || ready == kTickMax)
             continue;
-        if (next == 0 || in.q.front().ready < next)
-            next = in.q.front().ready;
+        if (next == 0 || ready < next)
+            next = ready;
     }
     return next;
 }
 
 void
+Port::refresh(std::uint32_t i)
+{
+    const Input &in = inputs_[i];
+    head_ready_[i] = in.q.empty() ? kTickMax : in.q.front().ready;
+    unarrived_ready_[i] =
+        in.arrived < in.q.size() ? in.q[in.arrived].ready : kTickMax;
+}
+
+void
 Port::noteArrivals(Tick now)
 {
-    std::uint32_t backlog = 0;
-    for (Input &in : inputs_) {
+    for (std::uint32_t i = 0; i < numInputs(); ++i) {
+        if (unarrived_ready_[i] > now)
+            continue;
+        Input &in = inputs_[i];
         while (in.arrived < in.q.size() &&
                in.q[in.arrived].ready <= now) {
-            in.arrived_bytes += in.q[in.arrived].msg.bytes;
+            in.arrived_bytes += in.q[in.arrived].pkt.bytes;
             ++in.arrived;
+            ++arrived_total_;
         }
-        backlog += in.arrived;
+        refresh(i);
     }
-    peak_depth_ = std::max(peak_depth_, backlog);
+    peak_depth_ = std::max(peak_depth_, arrived_total_);
 }
 
 void
@@ -129,11 +146,10 @@ Port::pump()
         Route route{};
         for (std::uint32_t i = 0; i < n; ++i) {
             const std::uint32_t in = (rr_ + i) % n;
-            const auto &q = inputs_[in].q;
-            if (q.empty() || q.front().ready > now)
+            if (head_ready_[in] > now)
                 continue;
             if (route_) {
-                Route r = route_(q.front().msg);
+                Route r = route_(inputs_[in].q.front().pkt);
                 if (r.xlp) {
                     // Cross-LP hop: flow control against the boundary
                     // channel's shadow credit pool.
@@ -160,39 +176,41 @@ Port::pump()
 
         Input &in = inputs_[pick];
         hmg_assert(in.arrived > 0); // eligibility required ready <= now
-        Transit t = std::move(in.q.front());
+        const Transit t = in.q.front();
         in.q.pop_front();
         --in.arrived;
-        hmg_assert(in.arrived_bytes >= t.msg.bytes);
-        in.arrived_bytes -= t.msg.bytes;
+        --arrived_total_;
+        refresh(pick);
+        hmg_assert(in.arrived_bytes >= t.pkt.bytes);
+        in.arrived_bytes -= t.pkt.bytes;
         --depth_;
         ++msgs_;
         qdelay_sum_ += now - t.ready;
         ++qdelay_msgs_;
         qdelay_hist_.sample(now - t.ready);
 
-        // Occupy the wire, then hand the message to the next stage
+        // Occupy the wire, then hand the packet to the next stage
         // tagged with its arrival tick; it waits out the flight time
         // inside the downstream queue (or the event wheel, at the last
         // hop).
-        Tick arrival = wire_.serialize(now, t.msg.bytes) + latency_;
+        Tick arrival = wire_.serialize(now, t.pkt.bytes) + latency_;
         if (fault_ &&
-            fault_->onTransmit(t.msg.bytes, now, arrival) ==
+            fault_->onTransmit(t.pkt.bytes, now, arrival) ==
                 FaultVerdict::Lost) {
             // The wire time is spent but the transmission failed
             // (drop/CRC/flap). Go-back-N: the message returns to the
             // head of its input and re-arbitrates at the injector's
             // backoff tick. Nothing downstream or upstream observes
             // the attempt.
-            requeueFront(pick, fault_->retryAt(), std::move(t.msg));
+            requeueFront(pick, fault_->retryAt(), t.pkt);
             continue;
         }
         if (route.xlp)
-            route.xlp->send(arrival, std::move(t.msg));
+            route.xlp->send(arrival, t.pkt);
         else if (route.next)
-            route.next->push(route.input, arrival, std::move(t.msg));
+            route.next->push(route.input, arrival, t.pkt);
         else
-            deliver_(std::move(t.msg), arrival);
+            deliver_(t.pkt, arrival);
 
         // The freed slot is this hop's credit return: let the upstream
         // stage re-arbitrate immediately (same tick, deterministic).
@@ -227,9 +245,9 @@ Port::dumpState(std::string &out, const std::string &name) const
                std::to_string(in.q.size()) + " msgs, credits " +
                std::to_string(in.arrived_bytes) + "/" +
                std::to_string(capacity_) + "B, head " +
-               toString(head.msg.type) + " gpm" +
-               std::to_string(head.msg.src) + "->gpm" +
-               std::to_string(head.msg.dst) +
+               toString(head.pkt.type) + " gpm" +
+               std::to_string(head.pkt.src) + "->gpm" +
+               std::to_string(head.pkt.dst) +
                (head.ready > now
                     ? " ready at " + std::to_string(head.ready)
                     : " BLOCKED since " + std::to_string(head.ready)) +

@@ -9,11 +9,13 @@
  * (sim/serializer.hh). Its dispatch loop ("pump") runs as an engine
  * event and, while the serializer is free, picks the next eligible
  * input head in deterministic round-robin order, occupies the wire for
- * bytes/bandwidth cycles, and moves the message into the downstream
- * port's input queue tagged with its future arrival tick (serialization
- * end + propagation latency). In-transit messages therefore live inside
- * the next hop's queue — pump events capture only a port pointer, never
- * the message.
+ * bytes/bandwidth cycles, and copies the message's 32-byte Packet
+ * (noc/message.hh) into the downstream port's input queue tagged with
+ * its future arrival tick (serialization end + propagation latency).
+ * In-transit packets therefore live inside the next hop's queue — pump
+ * events capture only a port pointer, never the packet — and the
+ * arrival closure stays parked in the Network's ArrivalSlab until the
+ * last hop hands the packet to delivery.
  *
  * Backpressure is credit-style with the bounded queue itself as the
  * credit pool, counted in BYTES: a head whose downstream pool is
@@ -77,8 +79,8 @@ class Port
         LpChannel *xlp = nullptr;
     };
 
-    using RouteFn = std::function<Route(const Message &)>;
-    using DeliverFn = std::function<void(Message &&, Tick)>;
+    using RouteFn = std::function<Route(const Packet &)>;
+    using DeliverFn = std::function<void(const Packet &, Tick)>;
     using NotifyFn = std::function<void()>;
 
     /**
@@ -122,11 +124,11 @@ class Port
     }
 
     /**
-     * Hand a message to this hop; it becomes eligible for arbitration
+     * Hand a packet to this hop; it becomes eligible for arbitration
      * at the absolute tick `ready` (>= now). The caller must have
      * checked canAccept() — a full queue is a protocol error upstream.
      */
-    void push(std::uint32_t input, Tick ready, Message &&m);
+    void push(std::uint32_t input, Tick ready, const Packet &p);
 
     /**
      * The dispatch loop. Runs as an engine event (scheduled by push and
@@ -161,11 +163,11 @@ class Port
     void dumpState(std::string &out, const std::string &name) const;
 
   private:
-    /** A queued (possibly still in-flight) message. */
+    /** A queued (possibly still in-flight) packet. */
     struct Transit
     {
         Tick ready = 0;
-        Message msg;
+        Packet pkt;
     };
 
     struct Input
@@ -181,13 +183,17 @@ class Port
     /** Advance every input's arrived count to the current tick. */
     void noteArrivals(Tick now);
 
+    /** Recompute input `i`'s entries of head_ready_/unarrived_ready_
+     *  after its queue or arrived count changed. */
+    void refresh(std::uint32_t i);
+
     /**
      * Put a just-popped message back at the head of `input`, eligible
      * again at the (future) tick `ready`. Used only by the fault retry
      * path: the message never left this hop, so it keeps its credits
      * and no upstream notification fires.
      */
-    void requeueFront(std::uint32_t input, Tick ready, Message &&m);
+    void requeueFront(std::uint32_t input, Tick ready, const Packet &p);
 
     /**
      * Arrange for pump() to run at tick `at`, coalescing with an
@@ -207,6 +213,15 @@ class Port
     Tick latency_;
     std::uint64_t capacity_;
     std::vector<Input> inputs_;
+    /** Per input, the ready tick of the queue's head and of its first
+     *  entry not yet arrived (kTickMax when there is none): the
+     *  arbitration and arrival scans read these 8-byte words instead of
+     *  every input's deque — a GPU's switch ingress has one input per
+     *  source GPU. */
+    std::vector<Tick> head_ready_;
+    std::vector<Tick> unarrived_ready_;
+    /** Sum of the inputs' arrived counts (the arrived backlog). */
+    std::uint32_t arrived_total_ = 0;
     /** Next input the round-robin scan starts from. */
     std::uint32_t rr_ = 0;
     /** Total queued messages across all inputs. */

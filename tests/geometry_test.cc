@@ -46,8 +46,8 @@ TEST_P(CacheGeometry, FillNeverExceedsCapacityAndLruIsSane)
         c.fill(a, i + 1);
         ASSERT_TRUE(c.load(a).hit) << "just-filled line must hit";
     }
-    EXPECT_LE(c.validLines(), lines);
-    EXPECT_EQ(c.evictions(), 4 * lines - c.validLines());
+    EXPECT_LE(c.tags().validCount(), lines);
+    EXPECT_EQ(c.evictions(), 4 * lines - c.tags().validCount());
 }
 
 TEST_P(CacheGeometry, RandomOpsKeepVersionMonotonicPerLine)

@@ -12,7 +12,10 @@
  * The relaxed TimeWindow mode only promises delay-bounded behaviour:
  * those runs execute under the runtime coherence checker and must
  * complete without a violation. They are also the threaded tests the
- * tsan CI preset exercises.
+ * tsan CI preset exercises. The transport-level TimeWindow tests
+ * check the per-LP arrival slabs: a closure parked on the source LP
+ * crosses the boundary channel and runs exactly once on the
+ * destination LP.
  *
  * Partition-time validation (the zero-lookahead rejection rules) is
  * unit-tested against LpPlan directly.
@@ -20,7 +23,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
+#include "common/topology.hh"
 #include "gpu/simulator.hh"
+#include "noc/network.hh"
 #include "sim/lp.hh"
 #include "trace/workloads.hh"
 
@@ -218,6 +228,77 @@ TEST(PdesTimeWindow, WorkloadRunsCleanUnderChecker)
     const SimResult tw = runMode(cfg, t, 4, false);
     EXPECT_GT(tw.cycles, 0u);
     EXPECT_GT(tw.stats.get("pdes.boundary_msgs"), 0.0);
+}
+
+/** Live-instance counter for arrival closures (moved-from included). */
+struct Tracked
+{
+    static inline std::atomic<long> live{0};
+    Tracked() { ++live; }
+    Tracked(const Tracked &) { ++live; }
+    Tracked(Tracked &&) noexcept { ++live; }
+    ~Tracked() { --live; }
+};
+
+/**
+ * Random traffic through a TimeWindow-partitioned Network: each message
+ * is injected by an event on its source LP's engine, and its arrival
+ * closure (capturing a Tracked) bumps its own counter on the
+ * destination LP. Every closure must run exactly once — one arrival per
+ * noc.delivered — and none may outlive the run.
+ */
+void
+expectOneArrivalPerDelivery(SystemConfig cfg, std::uint32_t lp_jobs)
+{
+    cfg.lpJobs = lp_jobs;
+    const std::size_t count = 3000;
+    std::vector<std::uint32_t> runs(count, 0);
+    {
+        LpDomain lps(cfg);
+        ASSERT_EQ(lps.mode(), LpMode::TimeWindow);
+        Network net(lps, cfg);
+        Rng rng(11);
+        const std::uint32_t gpms = cfg.totalGpms();
+        for (std::size_t i = 0; i < count; ++i) {
+            const auto src = static_cast<GpmId>(rng.below(gpms));
+            auto dst = static_cast<GpmId>(rng.below(gpms - 1));
+            if (dst >= src)
+                ++dst;
+            const auto type =
+                static_cast<MsgType>(rng.below(kNumMsgTypes));
+            lps.engineOfGpm(src).scheduleAt(
+                rng.below(20000), [&net, &runs, src, dst, type, i]() {
+                    net.inject({.src = src,
+                                .dst = dst,
+                                .type = type,
+                                .onArrival = [&runs, i, t = Tracked{}]() {
+                                    (void)t;
+                                    ++runs[i];
+                                }});
+                });
+        }
+        lps.run();
+        EXPECT_GT(lps.boundaryMsgs(), 0u) << "no cross-LP traffic";
+        EXPECT_EQ(net.messagesDelivered(), count);
+        EXPECT_EQ(Tracked::live.load(), 0);
+    }
+    for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(runs[i], 1u) << "closure " << i;
+}
+
+TEST(PdesTimeWindow, ArrivalSlabsDeliverOncePerMessage4x4)
+{
+    expectOneArrivalPerDelivery(SystemConfig{}, 4);
+}
+
+TEST(PdesTimeWindow, ArrivalSlabsDeliverOncePerMessageTwoNode)
+{
+    SystemConfig cfg;
+    Topology::loadFile(std::string(HMG_SOURCE_ROOT) +
+                       "/examples/topologies/two_node_2x2x2.json")
+        .applyTo(cfg);
+    ASSERT_EQ(cfg.numNodes, 2u);
+    expectOneArrivalPerDelivery(cfg, 2);
 }
 
 // ------------------------------------------------ partition rules
