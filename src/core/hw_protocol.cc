@@ -11,8 +11,37 @@
 namespace hmg
 {
 
+/**
+ * Runs a completion once `n` arrivals are in. Copies share one
+ * counter, so every branch of a fan carries the same join.
+ */
+class HwProtocol::Join
+{
+  public:
+    Join(std::uint32_t n, DoneCb done)
+        : s_(std::make_shared<State>(State{n, std::move(done)}))
+    {
+    }
+
+    void
+    operator()() const
+    {
+        if (--s_->pending == 0)
+            s_->done();
+    }
+
+  private:
+    struct State
+    {
+        std::uint32_t pending;
+        DoneCb done;
+    };
+    std::shared_ptr<State> s_;
+};
+
 HwProtocol::HwProtocol(SystemContext &ctx, bool hierarchical)
-    : CoherenceModel(ctx), hier_(hierarchical)
+    : HomeChainModel(ctx, hierarchical,
+                     /*node_tier=*/hierarchical && ctx.cfg.numNodes > 1)
 {
     for (auto &node : ctx_.gpms)
         hmg_assert(node->dir() != nullptr);
@@ -32,669 +61,52 @@ HwProtocol::nodeHomeFor(NodeId node, Addr line) const
     return ctx_.amap.nodeHome(node, line);
 }
 
-GpmId
-HwProtocol::nodeHopBetween(GpmId from, GpmId h, Addr line) const
-{
-    if (!multiNode())
-        return kInvalidGpm;
-    const GpmId nh = nodeHomeFor(ctx_.cfg.nodeOfGpm(from), line);
-    return (nh != from && nh != h) ? nh : kInvalidGpm;
-}
-
-// ---------------------------------------------------------------- loads
+// ------------------------------------------------------- per-hop hooks
 
 void
-HwProtocol::load(const MemAccess &acc, LoadDoneCb done)
-{
-    ctx_.pages.touch(acc.lineAddr, acc.gpm);
-    const GpmId h = sysHome(acc.lineAddr);
-    const GpmId gh = gpuHomeFor(ctx_.cfg.gpuOf(acc.gpm), acc.lineAddr);
-
-    // Stage 1: the requester's local L2.
-    ctx_.engine().schedule(tagLat(), [this, acc, gh, h,
-                                   done = std::move(done)]() mutable {
-        if (acc.gpm == h) {
-            // Local L2 is the system home; serve authoritatively.
-            loadAtSysHome(acc, acc.gpm, h, std::move(done));
-            return;
-        }
-        if (hier_ && acc.gpm == gh) {
-            loadAtGpuHome(acc, gh, h, std::move(done));
-            return;
-        }
-        GpmNode &local = ctx_.gpm(acc.gpm);
-        const bool mergeable = loadMayHit(acc.scope, CacheRole::NonHome);
-        if (mergeable) {
-            auto res = local.l2().load(acc.lineAddr);
-            if (res.hit) {
-                ++loads_local_hit_;
-                ctx_.engine().schedule(dataLat(),
-                                     [done = std::move(done),
-                                      v = res.version]() mutable {
-                    done(v);
-                });
-                return;
-            }
-            // Coalesce with an in-flight miss on the same line.
-            if (!local.mshrRegister(acc.lineAddr, std::move(done)))
-                return;
-        }
-        // Requester-side completion: fill the local L2 and wake every
-        // merged requester (or answer the single non-mergeable one).
-        LoadDoneCb finish;
-        if (mergeable) {
-            finish = [this, acc](Version v) {
-                GpmNode &n = ctx_.gpm(acc.gpm);
-                n.l2().fill(acc.lineAddr, v);
-                n.mshrComplete(acc.lineAddr, v);
-            };
-        } else {
-            finish = [this, acc, done = std::move(done)](Version v) mutable {
-                ctx_.gpm(acc.gpm).l2().fill(acc.lineAddr, v);
-                done(v);
-            };
-        }
-
-        const GpmId next = hier_ ? gh : h;
-        ctx_.net.inject(
-            {.src = acc.gpm,
-             .dst = next,
-             .type = MsgType::ReadReq,
-             .addr = acc.lineAddr,
-             .onArrival = [this, acc, gh, h,
-                           finish = std::move(finish)]() mutable {
-                 if (hier_ && gh != h) {
-                     loadAtGpuHome(acc, gh, h, std::move(finish));
-                 } else {
-                     // Flat protocol, or the GPU home *is* the system
-                     // home: serve at h and ship the line straight back.
-                     loadAtSysHome(
-                         acc, acc.gpm, h,
-                         [this, acc, h,
-                          finish = std::move(finish)](Version v) mutable {
-                             ctx_.net.inject(
-                                 {.src = h,
-                                  .dst = acc.gpm,
-                                  .type = MsgType::ReadResp,
-                                  .addr = acc.lineAddr,
-                                  .onArrival =
-                                      [v, finish = std::move(finish)]()
-                                          mutable { finish(v); }});
-                         });
-                 }
-             }});
-    });
-}
-
-void
-HwProtocol::loadAtGpuHome(MemAccess acc, GpmId gh, GpmId h, LoadDoneCb done)
-{
-    hmg_assert(hier_ && gh != h);
-
-    // Deliver the final value from gh back to the requesting GPM. The
-    // caller-provided `done` performs any requester-side fill.
-    auto respond = [this, acc, gh,
-                    done = std::move(done)](Version v) mutable {
-        if (acc.gpm == gh) {
-            done(v);
-            return;
-        }
-        applyDirEventAt(dirTableFor(gh, acc.lineAddr), gh, acc.gpm,
-                        acc.lineAddr, verify::DirEvent::LoadMiss, nullptr);
-        ctx_.net.inject({.src = gh,
-                         .dst = acc.gpm,
-                         .type = MsgType::ReadResp,
-                         .addr = acc.lineAddr,
-                         .onArrival = [v, done = std::move(done)]() mutable {
-                             done(v);
-                         }});
-    };
-
-    ctx_.engine().schedule(tagLat(), [this, acc, gh, h,
-                                   respond = std::move(respond)]() mutable {
-        GpmNode &home = ctx_.gpm(gh);
-        const bool mergeable = loadMayHit(acc.scope, CacheRole::GpuHome);
-        if (mergeable) {
-            auto res = home.l2().load(acc.lineAddr);
-            if (res.hit) {
-                ++loads_gpu_home_hit_;
-                ctx_.engine().schedule(dataLat(),
-                                     [respond = std::move(respond),
-                                      v = res.version]() mutable {
-                    respond(v);
-                });
-                return;
-            }
-            if (!home.mshrRegister(acc.lineAddr, std::move(respond)))
-                return;
-        }
-        // Miss at the GPU home: consult the next home up the chain —
-        // the node home when one stands strictly between (cross-node
-        // leg), else the system home. Only the GPU identity travels
-        // onward (Section V-B, "Loads"). When the miss merged into the
-        // MSHR above, `respond` is already parked there and the
-        // moved-from callback travelling below stays unused.
-        auto fill = [this, acc, gh, mergeable,
-                     respond = std::move(respond)](Version v) mutable {
-            GpmNode &home = ctx_.gpm(gh);
-            home.l2().fill(acc.lineAddr, v);
-            if (mergeable)
-                home.mshrComplete(acc.lineAddr, v);
-            else
-                respond(v);
-        };
-        const GpmId nh = nodeHopBetween(gh, h, acc.lineAddr);
-        if (nh != kInvalidGpm) {
-            ctx_.net.inject(
-                {.src = gh,
-                 .dst = nh,
-                 .type = MsgType::ReadReq,
-                 .addr = acc.lineAddr,
-                 .onArrival = [this, acc, gh, nh, h,
-                               fill = std::move(fill)]() mutable {
-                     loadAtNodeHome(acc, gh, nh, h, std::move(fill));
-                 }});
-            return;
-        }
-        ctx_.net.inject(
-            {.src = gh,
-             .dst = h,
-             .type = MsgType::ReadReq,
-             .addr = acc.lineAddr,
-             .onArrival = [this, acc, gh, h,
-                           fill = std::move(fill)]() mutable {
-                 loadAtSysHome(
-                     acc, gh, h,
-                     [this, acc, gh, h,
-                      fill = std::move(fill)](Version v) mutable {
-                         ctx_.net.inject(
-                             {.src = h,
-                              .dst = gh,
-                              .type = MsgType::ReadResp,
-                              .addr = acc.lineAddr,
-                              .onArrival =
-                                  [v, fill = std::move(fill)]() mutable {
-                                      fill(v);
-                                  }});
-                     });
-             }});
-    });
-}
-
-void
-HwProtocol::loadAtNodeHome(MemAccess acc, GpmId via, GpmId nh, GpmId h,
-                           LoadDoneCb done)
-{
-    hmg_assert(multiNode() && nh != h && via != nh);
-
-    // Deliver the final value from nh back to `via` (the consulting GPU
-    // home, or a GPU home fetching for an atomic). The sharer is
-    // recorded in the same event that emits the response, for the same
-    // overtaking-invalidation reason loadAtSysHome documents.
-    auto respond = [this, acc, via, nh,
-                    done = std::move(done)](Version v) mutable {
-        applyDirEventAt(dirTableFor(nh, acc.lineAddr), nh, via,
-                        acc.lineAddr, verify::DirEvent::LoadMiss, nullptr);
-        ctx_.net.inject({.src = nh,
-                         .dst = via,
-                         .type = MsgType::ReadResp,
-                         .addr = acc.lineAddr,
-                         .onArrival = [v, done = std::move(done)]() mutable {
-                             done(v);
-                         }});
-    };
-
-    ctx_.engine().schedule(tagLat(), [this, acc, nh, h,
-                                   respond = std::move(respond)]() mutable {
-        GpmNode &home = ctx_.gpm(nh);
-        // The node home may answer anything below `.sys` scope: the
-        // per-(src, dst) FIFO channels gh -> nh and nh -> h order its
-        // copy after any write-through it forwarded, so a `.gpu`-scope
-        // load observes every store its own GPU released.
-        const bool mergeable = loadMayHit(acc.scope, CacheRole::GpuHome);
-        if (mergeable) {
-            auto res = home.l2().load(acc.lineAddr);
-            if (res.hit) {
-                ++loads_node_home_hit_;
-                ctx_.engine().schedule(dataLat(),
-                                     [respond = std::move(respond),
-                                      v = res.version]() mutable {
-                    respond(v);
-                });
-                return;
-            }
-            if (!home.mshrRegister(acc.lineAddr, std::move(respond)))
-                return;
-        }
-        // Miss at the node home: consult the system home. Only the node
-        // identity travels onward.
-        ctx_.net.inject(
-            {.src = nh,
-             .dst = h,
-             .type = MsgType::ReadReq,
-             .addr = acc.lineAddr,
-             .onArrival = [this, acc, nh, h, mergeable,
-                           respond = std::move(respond)]() mutable {
-                 loadAtSysHome(
-                     acc, nh, h,
-                     [this, acc, nh, h, mergeable,
-                      respond = std::move(respond)](Version v) mutable {
-                         ctx_.net.inject(
-                             {.src = h,
-                              .dst = nh,
-                              .type = MsgType::ReadResp,
-                              .addr = acc.lineAddr,
-                              .onArrival =
-                                  [this, acc, nh, v, mergeable,
-                                   respond =
-                                       std::move(respond)]() mutable {
-                                      GpmNode &home = ctx_.gpm(nh);
-                                      home.l2().fill(acc.lineAddr, v);
-                                      if (mergeable)
-                                          home.mshrComplete(acc.lineAddr,
-                                                            v);
-                                      else
-                                          respond(v);
-                                  }});
-                     });
-             }});
-    });
-}
-
-void
-HwProtocol::loadAtSysHome(MemAccess acc, GpmId via, GpmId h,
-                          LoadDoneCb respond)
+HwProtocol::onLoadAnswered(GpmId home, GpmId via, Addr line)
 {
     // The sharer is recorded in the same event that emits the response,
     // not at request arrival: a store processed while this load waits
     // on DRAM would otherwise reset the sharer list and let its
     // invalidation overtake the response, leaving an untracked stale
     // copy at the requester.
-    if (via != h) {
-        respond = [this, acc, via, h,
-                   inner = std::move(respond)](Version v) mutable {
-            applyDirEventAt(dirTableFor(h, acc.lineAddr), h, via,
-                            acc.lineAddr, verify::DirEvent::LoadMiss,
-                            nullptr);
-            inner(v);
-        };
-    }
-    ctx_.engine().schedule(tagLat(), [this, acc, h,
-                                   respond = std::move(respond)]() mutable {
-        GpmNode &home = ctx_.gpm(h);
-        auto res = home.l2().load(acc.lineAddr);
-        if (res.hit) {
-            ++loads_sys_home_hit_;
-            ctx_.engine().schedule(dataLat(),
-                                 [respond = std::move(respond),
-                                  v = res.version]() mutable {
-                respond(v);
-            });
-            return;
-        }
-        // Coalesce concurrent DRAM fetches of the same line.
-        if (!home.mshrRegister(acc.lineAddr, std::move(respond)))
-            return;
-        ++loads_dram_;
-        Tick ready = home.dram().read(ctx_.cfg.cacheLineBytes);
-        ctx_.engine().scheduleAt(ready, [this, acc, h]() {
-            Version v = ctx_.mem.read(acc.lineAddr);
-            GpmNode &home = ctx_.gpm(h);
-            home.l2().fill(acc.lineAddr, v);
-            home.mshrComplete(acc.lineAddr, v);
-        });
-    });
+    applyDirEventAt(dirTableFor(home, line), home, via, line,
+                    verify::DirEvent::LoadMiss, nullptr);
 }
 
-// ---------------------------------------------------------------- stores
+void
+HwProtocol::onStore(GpmId home, GpmId writer, Addr line)
+{
+    applyDirEventAt(dirTableFor(home, line), home, writer, line,
+                    verify::DirEvent::Store,
+                    makeInvJob(/*from_store=*/true));
+}
 
 void
 HwProtocol::store(const MemAccess &acc, Version v, DoneCb accepted,
                   DoneCb sys_done)
 {
-    ctx_.pages.touch(acc.lineAddr, acc.gpm);
-    const GpmId h = sysHome(acc.lineAddr);
-    const GpmId gh = gpuHomeFor(ctx_.cfg.gpuOf(acc.gpm), acc.lineAddr);
-
-    if (writeBack() && acc.scope <= Scope::Cta) {
-        // Write-back mode: the store completes in the local L2 as dirty
-        // data; it reaches the home when a release, kernel boundary,
-        // eviction or invalidation flushes it.
-        ctx_.engine().schedule(tagLat(), [this, acc, v,
-                                        accepted = std::move(accepted),
-                                        sys_done =
-                                            std::move(sys_done)]() mutable {
-            ctx_.gpm(acc.gpm).l2().store(acc.lineAddr, v,
-                                         /*mark_dirty=*/true);
-            accepted();
-            ctx_.tracker.reachedGpuLevel(acc.sm);
-            ctx_.tracker.reachedSysLevel(acc.sm);
-            if (sys_done)
-                sys_done();
-        });
+    if (!writeBack() || acc.scope > Scope::Cta) {
+        HomeChainModel::store(acc, v, std::move(accepted),
+                              std::move(sys_done));
         return;
     }
-
-    StoreFlow f{acc, v, std::move(sys_done), false, true, true};
-
-    ctx_.engine().schedule(tagLat(), [this, f = std::move(f), gh, h,
-                                   accepted =
-                                       std::move(accepted)]() mutable {
-        // Write-through: update (and allocate in) the local L2.
-        ctx_.gpm(f.acc.gpm).l2().store(f.acc.lineAddr, f.v);
+    // Write-back mode: the store completes in the local L2 as dirty
+    // data; it reaches the home when a release, kernel boundary,
+    // eviction or invalidation flushes it.
+    ctx_.pages.touch(acc.lineAddr, acc.gpm);
+    ctx_.engine().schedule(tagLat(), [this, acc, v,
+                                      accepted = std::move(accepted),
+                                      sys_done =
+                                          std::move(sys_done)]() mutable {
+        ctx_.gpm(acc.gpm).l2().store(acc.lineAddr, v, /*mark_dirty=*/true);
         accepted();
-        if (hier_) {
-            if (f.acc.gpm == gh) {
-                storeAtGpuHome(std::move(f), gh, h);
-            } else {
-                const GpmId src = f.acc.gpm;
-                const Addr line = f.acc.lineAddr;
-                ctx_.net.inject(
-                    {.src = src,
-                     .dst = gh,
-                     .type = MsgType::WriteThrough,
-                     .addr = line,
-                     .onArrival = [this, f = std::move(f), gh,
-                                   h]() mutable {
-                         storeAtGpuHome(std::move(f), gh, h);
-                     }});
-            }
-        } else {
-            const GpmId src = f.acc.gpm;
-            if (src == h) {
-                storeAtSysHome(std::move(f), src, h);
-            } else {
-                const Addr line = f.acc.lineAddr;
-                ctx_.net.inject(
-                    {.src = src,
-                     .dst = h,
-                     .type = MsgType::WriteThrough,
-                     .addr = line,
-                     .onArrival = [this, f = std::move(f), src,
-                                   h]() mutable {
-                         storeAtSysHome(std::move(f), src, h);
-                     }});
-            }
-        }
+        ctx_.tracker.reachedGpuLevel(acc.sm);
+        ctx_.tracker.reachedSysLevel(acc.sm);
+        if (sys_done)
+            sys_done();
     });
-}
-
-void
-HwProtocol::storeAtGpuHome(StoreFlow f, GpmId gh, GpmId h)
-{
-    hmg_assert(hier_);
-    if (gh == h) {
-        // Home roles coincide; the system-home stage handles everything.
-        const GpmId src = f.acc.gpm;
-        storeAtSysHome(std::move(f), src, h);
-        return;
-    }
-    GpmNode &home = ctx_.gpm(gh);
-    home.l2().store(f.acc.lineAddr, f.v, /*mark_dirty=*/false,
-                    f.serialized);
-
-    applyDirEventAt(dirTableFor(gh, f.acc.lineAddr), gh,
-                    f.recordWriter ? f.acc.gpm : kInvalidGpm,
-                    f.acc.lineAddr, verify::DirEvent::Store,
-                    makeInvJob(/*from_store=*/true));
-
-    if (f.tracked)
-        ctx_.tracker.reachedGpuLevel(f.acc.sm);
-    f.gpuCleared = true;
-
-    forwardStoreUp(std::move(f), gh, h);
-}
-
-void
-HwProtocol::forwardStoreUp(StoreFlow f, GpmId from, GpmId h)
-{
-    const Addr line = f.acc.lineAddr;
-    const GpmId nh = nodeHopBetween(from, h, line);
-    if (nh != kInvalidGpm) {
-        ctx_.net.inject({.src = from,
-                         .dst = nh,
-                         .type = MsgType::WriteThrough,
-                         .addr = line,
-                         .onArrival = [this, f = std::move(f), from, nh,
-                                       h]() mutable {
-                             storeAtNodeHome(std::move(f), from, nh, h);
-                         }});
-        return;
-    }
-    ctx_.net.inject({.src = from,
-                     .dst = h,
-                     .type = MsgType::WriteThrough,
-                     .addr = line,
-                     .onArrival = [this, f = std::move(f), from,
-                                   h]() mutable {
-                         storeAtSysHome(std::move(f), from, h);
-                     }});
-}
-
-void
-HwProtocol::storeAtNodeHome(StoreFlow f, GpmId via, GpmId nh, GpmId h)
-{
-    hmg_assert(multiNode() && nh != h && via != nh);
-    GpmNode &home = ctx_.gpm(nh);
-    home.l2().store(f.acc.lineAddr, f.v, /*mark_dirty=*/false,
-                    f.serialized);
-
-    applyDirEventAt(dirTableFor(nh, f.acc.lineAddr), nh,
-                    f.recordWriter ? via : kInvalidGpm,
-                    f.acc.lineAddr, verify::DirEvent::Store,
-                    makeInvJob(/*from_store=*/true));
-
-    // No tracker level corresponds to the node tier: the extra hop only
-    // delays reachedSysLevel, which storeAtSysHome signals.
-    const Addr line = f.acc.lineAddr;
-    ctx_.net.inject({.src = nh,
-                     .dst = h,
-                     .type = MsgType::WriteThrough,
-                     .addr = line,
-                     .onArrival = [this, f = std::move(f), nh,
-                                   h]() mutable {
-                         storeAtSysHome(std::move(f), nh, h);
-                     }});
-}
-
-void
-HwProtocol::storeAtSysHome(StoreFlow f, GpmId via, GpmId h)
-{
-    GpmNode &home = ctx_.gpm(h);
-    home.l2().store(f.acc.lineAddr, f.v, /*mark_dirty=*/false,
-                    f.serialized);
-    ctx_.mem.write(f.acc.lineAddr, f.v, f.serialized);
-    home.dram().write(ctx_.cfg.cacheLineBytes);
-
-    applyDirEventAt(dirTableFor(h, f.acc.lineAddr), h,
-                    f.recordWriter ? via : kInvalidGpm, f.acc.lineAddr,
-                    verify::DirEvent::Store,
-                    makeInvJob(/*from_store=*/true));
-
-    // Tracker state and the sys-done continuation belong to the
-    // requester's SM; when the system home lives in another LP, hand
-    // them back to the owning LP (immediate call otherwise).
-    if (f.tracked || f.sysDone) {
-        ctx_.lps.post(ctx_.lps.lpOfGpm(f.acc.gpm),
-                      [this, tracked = f.tracked,
-                       gpu_cleared = f.gpuCleared, sm = f.acc.sm,
-                       sys_done = std::move(f.sysDone)]() mutable {
-                          if (tracked) {
-                              if (!gpu_cleared)
-                                  ctx_.tracker.reachedGpuLevel(sm);
-                              ctx_.tracker.reachedSysLevel(sm);
-                          }
-                          if (sys_done)
-                              sys_done();
-                      });
-    }
-}
-
-// --------------------------------------------------------------- atomics
-
-void
-HwProtocol::atomic(const MemAccess &acc, Version v, LoadDoneCb done,
-                   DoneCb sys_done)
-{
-    ctx_.pages.touch(acc.lineAddr, acc.gpm);
-    const GpmId h = sysHome(acc.lineAddr);
-    const GpmId gh = gpuHomeFor(ctx_.cfg.gpuOf(acc.gpm), acc.lineAddr);
-
-    // Performed at the home node for the scope in question (Section
-    // V-B); NHCC always uses the (single) home node (Section IV-B).
-    const GpmId target = (hier_ && acc.scope <= Scope::Gpu) ? gh : h;
-
-    if (target == acc.gpm) {
-        atomicAtHome(acc, target, h, v, std::move(done),
-                     std::move(sys_done));
-    } else {
-        ctx_.net.inject(
-            {.src = acc.gpm,
-             .dst = target,
-             .type = MsgType::AtomicReq,
-             .addr = acc.lineAddr,
-             .onArrival = [this, acc, target, h, v,
-                           done = std::move(done),
-                           sys_done = std::move(sys_done)]() mutable {
-                 atomicAtHome(acc, target, h, v, std::move(done),
-                              std::move(sys_done));
-             }});
-    }
-}
-
-void
-HwProtocol::atomicAtHome(MemAccess acc, GpmId target, GpmId h, Version v,
-                         LoadDoneCb done, DoneCb sys_done)
-{
-    ctx_.engine().schedule(tagLat(), [this, acc, target, h, v,
-                                   done = std::move(done),
-                                   sys_done = std::move(sys_done)]() mutable {
-        GpmNode &node = ctx_.gpm(target);
-        auto res = node.l2().load(acc.lineAddr);
-        if (res.hit) {
-            atomicPerform(acc, target, h, v, res.version, std::move(done),
-                          std::move(sys_done));
-            return;
-        }
-        if (target == h) {
-            // Home misses go to local DRAM.
-            Tick ready = node.dram().read(ctx_.cfg.cacheLineBytes);
-            ctx_.engine().scheduleAt(ready, [this, acc, target, h, v,
-                                           done = std::move(done),
-                                           sys_done =
-                                               std::move(sys_done)]() mutable {
-                Version old_v = ctx_.mem.read(acc.lineAddr);
-                atomicPerform(acc, target, h, v, old_v, std::move(done),
-                              std::move(sys_done));
-            });
-            return;
-        }
-        // A GPU home without the line fetches it from the next home up
-        // (recording itself as a sharer at every tier it crosses), then
-        // performs the RMW locally.
-        auto perform = [this, acc, target, h, v, done = std::move(done),
-                        sys_done =
-                            std::move(sys_done)](Version old_v) mutable {
-            ctx_.gpm(target).l2().fill(acc.lineAddr, old_v);
-            atomicPerform(acc, target, h, v, old_v, std::move(done),
-                          std::move(sys_done));
-        };
-        const GpmId nh = nodeHopBetween(target, h, acc.lineAddr);
-        if (nh != kInvalidGpm) {
-            ctx_.net.inject(
-                {.src = target,
-                 .dst = nh,
-                 .type = MsgType::ReadReq,
-                 .addr = acc.lineAddr,
-                 .onArrival = [this, acc, target, nh, h,
-                               perform = std::move(perform)]() mutable {
-                     loadAtNodeHome(acc, target, nh, h,
-                                    std::move(perform));
-                 }});
-            return;
-        }
-        ctx_.net.inject(
-            {.src = target,
-             .dst = h,
-             .type = MsgType::ReadReq,
-             .addr = acc.lineAddr,
-             .onArrival = [this, acc, target, h,
-                           perform = std::move(perform)]() mutable {
-                 loadAtSysHome(
-                     acc, target, h,
-                     [this, acc, target, h,
-                      perform = std::move(perform)](Version old_v) mutable {
-                         ctx_.net.inject(
-                             {.src = h,
-                              .dst = target,
-                              .type = MsgType::ReadResp,
-                              .addr = acc.lineAddr,
-                              .onArrival =
-                                  [old_v, perform = std::move(
-                                              perform)]() mutable {
-                                      perform(old_v);
-                                  }});
-                     });
-             }});
-    });
-}
-
-void
-HwProtocol::atomicPerform(MemAccess acc, GpmId target, GpmId h, Version v,
-                          Version old_v, LoadDoneCb done, DoneCb sys_done)
-{
-    GpmNode &node = ctx_.gpm(target);
-    // The RMW serializes at `target`: its copy takes the arrival order.
-    node.l2().store(acc.lineAddr, v, /*mark_dirty=*/false,
-                    /*serialized=*/true);
-
-    // Coherence-wise an atomic is a store with no tracked writer:
-    // invalidate every sharer (including the requester's stale copy —
-    // atomics do not refresh the requester's own L2).
-    applyDirEventAt(dirTableFor(target, acc.lineAddr), target,
-                    kInvalidGpm, acc.lineAddr, verify::DirEvent::Store,
-                    makeInvJob(/*from_store=*/true));
-
-    // Return the pre-op value to the requester.
-    if (target == acc.gpm) {
-        done(old_v);
-    } else {
-        ctx_.net.inject({.src = target,
-                         .dst = acc.gpm,
-                         .type = MsgType::AtomicResp,
-                         .addr = acc.lineAddr,
-                         .onArrival = [done = std::move(done),
-                                       old_v]() mutable {
-                             done(old_v);
-                         }});
-    }
-
-    // Write the result onward, exactly as a store from `target` would
-    // propagate (Section V-B, "Atomics and Reductions").
-    StoreFlow f{acc, v, std::move(sys_done), false, false, true};
-    if (target == h) {
-        ctx_.mem.write(acc.lineAddr, v);
-        node.dram().write(ctx_.cfg.cacheLineBytes);
-        // recordSharer: the performing node is the home itself. Tracker
-        // and sys-done run in the requester's LP (see storeAtSysHome).
-        ctx_.lps.post(ctx_.lps.lpOfGpm(acc.gpm),
-                      [this, sm = acc.sm,
-                       sys_done = std::move(f.sysDone)]() mutable {
-                          ctx_.tracker.reachedGpuLevel(sm);
-                          ctx_.tracker.reachedSysLevel(sm);
-                          if (sys_done)
-                              sys_done();
-                      });
-        return;
-    }
-    ctx_.tracker.reachedGpuLevel(acc.sm);
-    f.gpuCleared = true;
-    // The performing GPU home keeps a fresh copy: it must stay a sharer
-    // at the system home, so the write-through names the GPU home as the
-    // node to record — routed via the node home on a cross-node leg so
-    // every tier of the chain tracks the copy.
-    f.recordWriter = true;
-    forwardStoreUp(std::move(f), target, h);
 }
 
 // --------------------------------------------------- directory plumbing
@@ -707,7 +119,7 @@ HwProtocol::dirTableFor(GpmId h, Addr line) const
         return verify::tableFor(Role::FlatHome);
     if (h == sysHome(line))
         return verify::tableFor(Role::SysHome);
-    if (multiNode() && h == nodeHomeFor(ctx_.cfg.nodeOfGpm(h), line))
+    if (node_tier_ && h == nodeHomeFor(ctx_.cfg.nodeOfGpm(h), line))
         return verify::tableFor(Role::NodeHome);
     return verify::tableFor(Role::GpuHome);
 }
@@ -893,9 +305,17 @@ HwProtocol::release(const MemAccess &acc, DoneCb done)
 
     const GpmId r = acc.gpm;
     const GpuId g = ctx_.cfg.gpuOf(r);
+    const bool gpu_only = hier_ && acc.scope == Scope::Gpu;
 
+    // HMG `.gpu` releases reach r's own GPU. A relayed `.sys` release
+    // reaches r's GPU directly and every other GPU through one relay
+    // (its GPM with r's local index); any other release reaches every
+    // GPM.
+    const bool relayed = hier_ && acc.scope == Scope::Sys &&
+                         ctx_.cfg.hierarchicalReleaseFanout;
     std::vector<GpmId> targets;
-    if (hier_ && acc.scope == Scope::Gpu) {
+    std::vector<GpmId> relays;
+    if (gpu_only || relayed) {
         for (std::uint32_t l = 0; l < ctx_.cfg.gpmsPerGpu; ++l) {
             GpmId d = ctx_.cfg.gpmId(g, l);
             if (d != r)
@@ -906,25 +326,19 @@ HwProtocol::release(const MemAccess &acc, DoneCb done)
             if (d != r)
                 targets.push_back(d);
     }
+    if (relayed)
+        for (GpuId u = 0; u < ctx_.cfg.numGpus; ++u)
+            if (u != g)
+                relays.push_back(ctx_.cfg.gpmId(u, ctx_.cfg.localGpmOf(r)));
 
-    // HMG `.sys` releases need one marker round per invalidation wave:
-    // round one drains the system homes' top-level invalidations into
-    // the homes one tier down; each further round drains one re-fanned
-    // wave (GPU homes' GPM fans; with a live node tier, the node homes'
-    // re-fans add a wave of their own).
-    const int rounds = (hier_ && acc.scope == Scope::Sys)
-                           ? (multiNode() ? 3 : 2)
-                           : 1;
+    // `.sys` releases need one marker round per invalidation wave, i.e.
+    // per home level of the chain: round one drains the system homes'
+    // top-level invalidations into the homes one tier down; each further
+    // round drains one re-fanned wave.
+    const int rounds = acc.scope == Scope::Sys ? homeLevels() : 1;
 
-    const bool relayed =
-        hier_ && acc.scope == Scope::Sys &&
-        ctx_.cfg.hierarchicalReleaseFanout;
-
-    auto one_round = [this, r, targets, relayed](DoneCb then) {
-        if (relayed)
-            markerRoundRelayed(r, std::move(then));
-        else
-            markerRound(r, targets, std::move(then));
+    auto one_round = [this, r, targets, relays](DoneCb then) {
+        markerRound(r, targets, relays, std::move(then));
     };
 
     auto after_drain = [one_round, rounds,
@@ -950,7 +364,7 @@ HwProtocol::release(const MemAccess &acc, DoneCb done)
             flushDirty(r);
             ctx_.gpm(r).waitWbDrained(std::move(after_drain));
         };
-        if (hier_ && acc.scope == Scope::Gpu)
+        if (gpu_only)
             ctx_.tracker.waitGpuLevel(acc.sm, std::move(flush_then_wait));
         else
             ctx_.tracker.waitSysLevel(acc.sm,
@@ -958,7 +372,7 @@ HwProtocol::release(const MemAccess &acc, DoneCb done)
         return;
     }
 
-    if (hier_ && acc.scope == Scope::Gpu)
+    if (gpu_only)
         ctx_.tracker.waitGpuLevel(acc.sm, std::move(after_drain));
     else
         ctx_.tracker.waitSysLevel(acc.sm, std::move(after_drain));
@@ -975,24 +389,14 @@ HwProtocol::drainForBoundary(DoneCb done)
     // their L2s (tracker drained) is the dirty set final; then flush it
     // and wait for the write-back ledgers to empty. Each GPM's flush
     // touches its own L2, so it runs in the GPM's owning LP; the join
-    // counter lives on LP 0 and every decrement is posted back there.
-    // (A self-referential callback chain would leak: a std::function
-    // capturing its own shared_ptr is a reference cycle — hence the
-    // shared counter join.)
+    // lives on LP 0 and every arrival is posted back there.
     ctx_.tracker.waitAllDrained([this, done = std::move(done)]() mutable {
-        auto pending =
-            std::make_shared<std::uint32_t>(ctx_.cfg.totalGpms());
-        auto done_p = std::make_shared<DoneCb>(std::move(done));
+        const Join all(ctx_.cfg.totalGpms(), std::move(done));
         for (GpmId g = 0; g < ctx_.cfg.totalGpms(); ++g) {
-            ctx_.lps.post(ctx_.lps.lpOfGpm(g),
-                          [this, g, pending, done_p]() {
+            ctx_.lps.post(ctx_.lps.lpOfGpm(g), [this, g, all]() {
                 flushDirty(g);
-                ctx_.gpm(g).waitWbDrained([this, pending, done_p]() {
-                    ctx_.lps.post(0, [pending, done_p]() {
-                        if (--*pending == 0)
-                            (*done_p)();
-                    });
-                });
+                ctx_.gpm(g).waitWbDrained(
+                    [this, all]() { ctx_.lps.post(0, all); });
             });
         }
     });
@@ -1009,172 +413,67 @@ HwProtocol::flushDirty(GpmId g)
 void
 HwProtocol::writeBackLine(GpmId src, Addr line, Version v, bool record)
 {
-    GpmNode &node = ctx_.gpm(src);
-    node.wbIssued();
-
-    const GpmId h = sysHome(line);
-    const GpmId gh = gpuHomeFor(ctx_.cfg.gpuOf(src), line);
-
-    StoreFlow f;
-    f.acc = MemAccess{0, src, line, Scope::None};
-    f.v = v;
-    f.recordWriter = record;
-    f.tracked = false;
-    // A dirty victim was coherence-ordered by its original local store,
-    // not by this flush's arrival at the home: never clobber newer data.
-    f.serialized = false;
-    f.sysDone = [this, src]() { ctx_.gpm(src).wbLanded(); };
-
-    if (hier_) {
-        if (src == gh)
-            storeAtGpuHome(std::move(f), gh, h);
-        else
-            ctx_.net.inject({.src = src,
-                             .dst = gh,
-                             .type = MsgType::WriteThrough,
-                             .addr = line,
-                             .onArrival = [this, f = std::move(f), gh,
-                                           h]() mutable {
-                                 storeAtGpuHome(std::move(f), gh, h);
-                             }});
-    } else {
-        if (src == h)
-            storeAtSysHome(std::move(f), src, h);
-        else
-            ctx_.net.inject({.src = src,
-                             .dst = h,
-                             .type = MsgType::WriteThrough,
-                             .addr = line,
-                             .onArrival = [this, f = std::move(f), src,
-                                           h]() mutable {
-                                 storeAtSysHome(std::move(f), src, h);
-                             }});
-    }
+    ctx_.gpm(src).wbIssued();
+    writeThrough({.acc = MemAccess{0, src, line, Scope::None},
+                  .chain = chainFor(src, line, sysHome(line)),
+                  .v = v,
+                  .sysDone = [this, src]() { ctx_.gpm(src).wbLanded(); },
+                  .recordWriter = record,
+                  .tracked = false,
+                  // A dirty victim was coherence-ordered by its original
+                  // local store, not by this flush's arrival at the home:
+                  // never clobber newer data.
+                  .serialized = false});
 }
 
 void
 HwProtocol::markerRound(GpmId r, const std::vector<GpmId> &targets,
-                        DoneCb done)
+                        const std::vector<GpmId> &relays, DoneCb done)
 {
-    // `done` fans into many continuations, so it moves into shared
-    // storage and the per-target completion stays copyable.
-    auto pending = std::make_shared<std::uint32_t>(
-        static_cast<std::uint32_t>(targets.size()) + 1);
-    auto done_p = std::make_shared<DoneCb>(std::move(done));
-    auto one_done = [pending, done_p]() {
-        if (--*pending == 0)
-            (*done_p)();
-    };
-
+    const Join all(
+        static_cast<std::uint32_t>(targets.size() + relays.size()) + 1,
+        std::move(done));
     // The releasing GPM's own outbound invalidations must land too.
-    ctx_.gpm(r).waitInvDrained(one_done);
-
-    for (GpmId dst : targets) {
-        ++rel_markers_;
-        ctx_.net.inject(
-            {.src = r,
-             .dst = dst,
-             .type = MsgType::RelMarker,
-             .onArrival = [this, r, dst, one_done]() {
-                 // FIFO transport guarantees every invalidation `dst`
-                 // received before this marker has been handled; the
-                 // ledger wait covers the ones `dst` itself still has
-                 // in flight.
-                 ctx_.gpm(dst).waitInvDrained([this, r, dst, one_done]() {
-                     ctx_.net.inject({.src = dst,
-                                      .dst = r,
-                                      .type = MsgType::RelAck,
-                                      .onArrival = one_done});
-                 });
-             }});
-    }
+    ctx_.gpm(r).waitInvDrained(all);
+    for (GpmId dst : targets)
+        sendMarker(r, dst, /*relay=*/false, all);
+    for (GpmId relay : relays)
+        sendMarker(r, relay, /*relay=*/true, all);
 }
 
 void
-HwProtocol::markerRoundRelayed(GpmId r, DoneCb done)
+HwProtocol::sendMarker(GpmId from, GpmId to, bool relay, const Join &ack)
 {
-    const GpuId g = ctx_.cfg.gpuOf(r);
-    const std::uint32_t m = ctx_.cfg.gpmsPerGpu;
-
-    // Own GPU's GPMs are reached directly; each remote GPU gets one
-    // relay (the GPM with r's local index).
-    std::vector<GpmId> direct;
-    for (std::uint32_t l = 0; l < m; ++l)
-        if (ctx_.cfg.gpmId(g, l) != r)
-            direct.push_back(ctx_.cfg.gpmId(g, l));
-    std::vector<GpmId> relays;
-    for (GpuId u = 0; u < ctx_.cfg.numGpus; ++u)
-        if (u != g)
-            relays.push_back(ctx_.cfg.gpmId(u, ctx_.cfg.localGpmOf(r)));
-
-    auto pending = std::make_shared<std::uint32_t>(
-        static_cast<std::uint32_t>(direct.size() + relays.size()) + 1);
-    auto done_p = std::make_shared<DoneCb>(std::move(done));
-    auto one_done = [pending, done_p]() {
-        if (--*pending == 0)
-            (*done_p)();
-    };
-
-    ctx_.gpm(r).waitInvDrained(one_done);
-
-    for (GpmId dst : direct) {
-        ++rel_markers_;
-        ctx_.net.inject(
-            {.src = r,
-             .dst = dst,
-             .type = MsgType::RelMarker,
-             .onArrival = [this, r, dst, one_done]() {
-                 ctx_.gpm(dst).waitInvDrained([this, r, dst, one_done]() {
-                     ctx_.net.inject({.src = dst,
-                                      .dst = r,
-                                      .type = MsgType::RelAck,
-                                      .onArrival = one_done});
-                 });
-             }});
-    }
-    for (GpmId relay : relays) {
-        ++rel_markers_;
-        ctx_.net.inject(
-            {.src = r,
-             .dst = relay,
-             .type = MsgType::RelMarker,
-             .onArrival = [this, r, relay, one_done]() {
-                 // The relay fans markers inside its own GPU, waits for
-                 // its own drain plus its siblings' acks, then
-                 // acknowledges.
-                 const GpuId u = ctx_.cfg.gpuOf(relay);
-                 auto sub = std::make_shared<std::uint32_t>(
-                     ctx_.cfg.gpmsPerGpu); // siblings + own drain
-                 auto sub_done = [this, sub, relay, r, one_done]() {
-                     if (--*sub == 0)
-                         ctx_.net.inject({.src = relay,
-                                          .dst = r,
-                                          .type = MsgType::RelAck,
-                                          .onArrival = one_done});
-                 };
-                 ctx_.gpm(relay).waitInvDrained(sub_done);
-                 for (std::uint32_t l = 0; l < ctx_.cfg.gpmsPerGpu; ++l) {
-                     GpmId d = ctx_.cfg.gpmId(u, l);
-                     if (d == relay)
-                         continue;
-                     ++rel_markers_;
-                     ctx_.net.inject(
-                         {.src = relay,
-                          .dst = d,
-                          .type = MsgType::RelMarker,
-                          .onArrival = [this, relay, d, sub_done]() {
-                              ctx_.gpm(d).waitInvDrained(
-                                  [this, relay, d, sub_done]() {
-                                      ctx_.net.inject(
-                                          {.src = d,
-                                           .dst = relay,
-                                           .type = MsgType::RelAck,
-                                           .onArrival = sub_done});
-                                  });
-                          }});
-                 }
-             }});
-    }
+    ++rel_markers_;
+    ctx_.net.inject(
+        {.src = from,
+         .dst = to,
+         .type = MsgType::RelMarker,
+         .onArrival = [this, from, to, relay, ack]() {
+             auto ack_back = [this, from, to, ack]() {
+                 ctx_.net.inject({.src = to,
+                                  .dst = from,
+                                  .type = MsgType::RelAck,
+                                  .onArrival = ack});
+             };
+             // FIFO transport guarantees every invalidation `to`
+             // received before this marker has been handled; the ledger
+             // wait covers the ones `to` itself still has in flight.
+             if (!relay) {
+                 ctx_.gpm(to).waitInvDrained(ack_back);
+                 return;
+             }
+             // A relay also waits for its own GPU's other GPMs, which
+             // it reaches with markers of its own.
+             const Join siblings(ctx_.cfg.gpmsPerGpu, ack_back);
+             ctx_.gpm(to).waitInvDrained(siblings);
+             const GpuId u = ctx_.cfg.gpuOf(to);
+             for (std::uint32_t l = 0; l < ctx_.cfg.gpmsPerGpu; ++l) {
+                 GpmId d = ctx_.cfg.gpmId(u, l);
+                 if (d != to)
+                     sendMarker(to, d, /*relay=*/false, siblings);
+             }
+         }});
 }
 
 void
@@ -1238,18 +537,10 @@ HwProtocol::handleDowngrade(GpmId h, GpmId from, Addr line)
 void
 HwProtocol::reportStats(StatRecorder &r) const
 {
-    CoherenceModel::reportStats(r);
-    r.record("protocol.loads_local_hit",
-             static_cast<double>(loads_local_hit_.total()));
-    r.record("protocol.loads_gpu_home_hit",
-             static_cast<double>(loads_gpu_home_hit_.total()));
+    HomeChainModel::reportStats(r);
     if (ctx_.cfg.numNodes > 1)
         r.record("protocol.loads_node_home_hit",
-                 static_cast<double>(loads_node_home_hit_.total()));
-    r.record("protocol.loads_sys_home_hit",
-             static_cast<double>(loads_sys_home_hit_.total()));
-    r.record("protocol.loads_dram",
-             static_cast<double>(loads_dram_.total()));
+                 static_cast<double>(loadsServed(Tier::NodeHome)));
     r.record("protocol.releases", static_cast<double>(releases_.total()));
     r.record("protocol.rel_markers",
              static_cast<double>(rel_markers_.total()));

@@ -30,14 +30,22 @@
  * the GPU homes of its node, the system home's tracks node-level
  * sharers; invalidations received by a node home re-fan one tier down
  * (to its GPM sharers and its tracked GPU homes). On a single-node
- * machine every node-tier branch is dead and the engine is bit-
- * identical to the two-level protocol above.
+ * machine the chain has no node tier and the engine is the two-level
+ * protocol above.
+ *
+ * The request walk itself is HomeChainModel's (core/protocol.hh): the
+ * recursion is literal, one generic stage per hop. This class supplies
+ * the chain's shape and the directory work at each home — LoadMiss when
+ * a home answers another GPM, Store when a write lands — plus the
+ * invalidation fans and re-fans, release markers, write-back and
+ * downgrade.
  */
 
 #ifndef HMG_CORE_HW_PROTOCOL_HH
 #define HMG_CORE_HW_PROTOCOL_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "core/protocol.hh"
 #include "core/sharer_ops.hh"
@@ -47,16 +55,13 @@ namespace hmg
 {
 
 /** NHCC / HMG protocol engine. */
-class HwProtocol : public CoherenceModel
+class HwProtocol : public HomeChainModel
 {
   public:
     HwProtocol(SystemContext &ctx, bool hierarchical);
 
-    void load(const MemAccess &acc, LoadDoneCb done) override;
     void store(const MemAccess &acc, Version v, DoneCb accepted,
                DoneCb sys_done) override;
-    void atomic(const MemAccess &acc, Version v, LoadDoneCb done,
-                DoneCb sys_done) override;
     void acquire(const MemAccess &acc, DoneCb done) override;
     void release(const MemAccess &acc, DoneCb done) override;
     void kernelBoundary() override;
@@ -68,29 +73,17 @@ class HwProtocol : public CoherenceModel
 
     bool hierarchical() const { return hier_; }
 
-    // Per-level load-service counters (where loads found their data).
-    std::uint64_t loadsLocalHit() const { return loads_local_hit_.total(); }
-    std::uint64_t
-    loadsGpuHomeHit() const
-    {
-        return loads_gpu_home_hit_.total();
-    }
-    std::uint64_t
-    loadsSysHomeHit() const
-    {
-        return loads_sys_home_hit_.total();
-    }
-    std::uint64_t
-    loadsNodeHomeHit() const
-    {
-        return loads_node_home_hit_.total();
-    }
-    std::uint64_t loadsDram() const { return loads_dram_.total(); }
+  protected:
+    /** A home answering a remote load records `via` (Table I LoadMiss). */
+    void onLoadAnswered(GpmId home, GpmId via, Addr line) override;
+
+    /** A landing write applies Table I's Store row at the home. */
+    void onStore(GpmId home, GpmId writer, Addr line) override;
 
   private:
     // --- routing helpers ---
 
-    /** System home GPM of a line (touches the page on first access). */
+    /** System home GPM of a line (the page must be placed). */
     GpmId sysHome(Addr line) const { return ctx_.amap.systemHome(line); }
 
     /** GPU home of `line` within `gpu` (== sysHome in flat mode). */
@@ -99,83 +92,26 @@ class HwProtocol : public CoherenceModel
     /** Node home of `line` within `node` (multi-node HMG only). */
     GpmId nodeHomeFor(NodeId node, Addr line) const;
 
-    /** Does the home chain have a live node tier? */
-    bool multiNode() const { return hier_ && ctx_.cfg.numNodes > 1; }
-
-    /**
-     * The node home standing strictly between a same-node hop `from`
-     * and the system home `h` for `line`, or kInvalidGpm when the
-     * chain collapses (single node, or `from`/`h` already is the node
-     * home). Cross-node request legs must route through it so every
-     * tier of the home chain records the sharer below it.
-     */
-    GpmId nodeHopBetween(GpmId from, GpmId h, Addr line) const;
-
-    Tick l2Lat() const { return ctx_.cfg.l2HitLatency; }
-    /** Tag-check cost (misses); hits additionally pay dataLat(). */
-    Tick tagLat() const { return ctx_.cfg.l2TagLatency; }
-    Tick dataLat() const
-    {
-        return ctx_.cfg.l2HitLatency - ctx_.cfg.l2TagLatency;
-    }
-
-    // --- load flow stages (each runs as an engine event) ---
-    void loadAtGpuHome(MemAccess acc, GpmId gh, GpmId h, LoadDoneCb done);
-    void loadAtNodeHome(MemAccess acc, GpmId via, GpmId nh, GpmId h,
-                        LoadDoneCb done);
-    void loadAtSysHome(MemAccess acc, GpmId via, GpmId h,
-                       LoadDoneCb respond);
-
-    // --- store flow stages ---
-
-    /** State threaded through a write-through chain. */
-    struct StoreFlow
-    {
-        MemAccess acc;
-        Version v = 0;
-        DoneCb sysDone;         //!< per-op completion for the SM
-        bool gpuCleared = false; //!< GPU-level tracker already released
-        bool recordWriter = true; //!< writer caches the line (not atomics)
-        bool tracked = true;     //!< counts against the ReleaseTracker
-        bool serialized = true;  //!< ordered by home arrival; false for
-                                 //!< write-back flushes of older data
-    };
-
-    void storeAtGpuHome(StoreFlow f, GpmId gh, GpmId h);
-    void storeAtNodeHome(StoreFlow f, GpmId via, GpmId nh, GpmId h);
-    void storeAtSysHome(StoreFlow f, GpmId via, GpmId h);
-
-    /**
-     * Forward a write-through from intermediate home `from` to the next
-     * home up the chain (the node home when one stands strictly between
-     * `from` and `h`, else `h` itself).
-     */
-    void forwardStoreUp(StoreFlow f, GpmId from, GpmId h);
-
-    // --- atomic flow ---
-    void atomicAtHome(MemAccess acc, GpmId target, GpmId h, Version v,
-                      LoadDoneCb done, DoneCb sys_done);
-    void atomicPerform(MemAccess acc, GpmId target, GpmId h, Version v,
-                       Version old_v, LoadDoneCb done, DoneCb sys_done);
-
     // --- release machinery ---
 
     /**
-     * One round of release markers from `r` to `targets`: each target
+     * One round of release markers from `r`: each of `targets`
      * acknowledges once its previously-sent invalidations have landed;
-     * `done` runs at `r` when all acks (plus r's own drain) are in.
+     * each of `relays` (cfg.hierarchicalReleaseFanout: one GPM per
+     * remote GPU) first fans markers to its own GPU's other GPMs and
+     * acknowledges once they and it have drained — same drain
+     * guarantees, fewer inter-GPU messages. `done` runs at `r` when
+     * all acks (plus r's own drain) are in.
      */
     void markerRound(GpmId r, const std::vector<GpmId> &targets,
-                     DoneCb done);
+                     const std::vector<GpmId> &relays, DoneCb done);
 
-    /**
-     * Hierarchical variant (cfg.hierarchicalReleaseFanout): one marker
-     * per remote GPU to a relay GPM, which drains itself, fans markers
-     * to its GPU's other GPMs, collects their acknowledgments, and
-     * acknowledges back to `r`. Same drain guarantees, fewer inter-GPU
-     * messages.
-     */
-    void markerRoundRelayed(GpmId r, DoneCb done);
+    class Join;
+
+    /** One marker exchange: RelMarker `from` -> `to`, the drain wait at
+     *  `to` (a relay's own fan included), RelAck back; `ack` runs at
+     *  `from`. */
+    void sendMarker(GpmId from, GpmId to, bool relay, const Join &ack);
 
     // --- directory maintenance (table-driven; see src/verify/spec.hh) ---
 
@@ -231,14 +167,7 @@ class HwProtocol : public CoherenceModel
     /** Flush every dirty line of `g`'s L2 toward its home. */
     std::uint64_t flushDirty(GpmId g);
 
-    bool hier_;
-
     // LP-sharded: these count on whichever LP serves the access.
-    LpCounter loads_local_hit_;
-    LpCounter loads_gpu_home_hit_;
-    LpCounter loads_node_home_hit_;
-    LpCounter loads_sys_home_hit_;
-    LpCounter loads_dram_;
     LpCounter releases_;
     LpCounter rel_markers_;
     LpCounter downgrades_;

@@ -12,11 +12,17 @@
  *   SwProtocol          — non-hierarchical / hierarchical SW coherence
  *   HwProtocol          — NHCC (flat) and HMG (hierarchical)
  *   IdealModel          — caching everywhere, no coherence enforcement
+ *
+ * All four walk loads, stores and atomics along the same home chain
+ * (HomeChainModel below): requester L2 -> GPU home -> node home ->
+ * system home -> DRAM, one generic stage per hop. The families differ
+ * only in which tiers their chain has and in a few per-hop hooks.
  */
 
 #ifndef HMG_CORE_PROTOCOL_HH
 #define HMG_CORE_PROTOCOL_HH
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -250,6 +256,195 @@ loadMayHit(Scope s, CacheRole role)
     }
     return false;
 }
+
+// --- the home chain ---
+
+/** A hop's place on an address's home chain, nearest the SM first.
+ *  Dram is where the chain ends; it counts load service only. */
+enum class Tier : std::uint8_t
+{
+    Local,    //!< the requester's own L2
+    GpuHome,  //!< the requester-GPU home (hierarchical protocols)
+    NodeHome, //!< the requester-node home (HW, multi-node machines)
+    SysHome,  //!< the system home
+    Dram,     //!< the system home's DRAM
+};
+
+constexpr std::size_t kNumTiers = 5;
+
+constexpr std::size_t
+tierIndex(Tier t)
+{
+    return static_cast<std::size_t>(t);
+}
+
+/**
+ * The route of one request: the GPM serving each tier, or kInvalidGpm
+ * for a tier the route skips. A tier is skipped when its GPM already
+ * serves a neighbouring tier: a requester that is itself a home enters
+ * at that home, a GPU home that is also the node home serves as GPU
+ * home, and any home that is the system home serves as system home.
+ */
+struct HomeChain
+{
+    std::array<GpmId, 4> hop{}; //!< Local .. SysHome
+
+    GpmId at(Tier t) const { return hop[tierIndex(t)]; }
+
+    /** The first tier on the route (where the requester stands). */
+    Tier entry() const { return firstFrom(0); }
+
+    /** The next tier above `t` on the route (SysHome always is). */
+    Tier next(Tier t) const { return firstFrom(tierIndex(t) + 1); }
+
+  private:
+    Tier
+    firstFrom(std::size_t i) const
+    {
+        while (i < tierIndex(Tier::SysHome) && hop[i] == kInvalidGpm)
+            ++i;
+        return static_cast<Tier>(i);
+    }
+};
+
+/**
+ * The request walk every protocol family shares. A load, store or
+ * atomic climbs the home chain one hop at a time; each hop runs one
+ * generic stage parameterised by its tier. A load stage checks the
+ * hop's L2 (loadMayHit for the tier's role), answers a hit after the
+ * data latency, merges into an in-flight miss, or fetches from the next
+ * hop and fills on the way back. A store stage updates the hop's L2,
+ * runs the family's per-home work, releases the GPU-level tracker at
+ * the GPU home, and forwards the write up.
+ *
+ * Family policy enters through the chain's shape (`hierarchical`, and
+ * `node_tier` for HMG on a multi-node machine) and three hooks.
+ */
+class HomeChainModel : public CoherenceModel
+{
+  public:
+    void load(const MemAccess &acc, LoadDoneCb done) override;
+    void store(const MemAccess &acc, Version v, DoneCb accepted,
+               DoneCb sys_done) override;
+    void atomic(const MemAccess &acc, Version v, LoadDoneCb done,
+                DoneCb sys_done) override;
+
+    void reportStats(StatRecorder &r) const override;
+
+    /** Loads whose data came from tier `t`. */
+    std::uint64_t
+    loadsServed(Tier t) const
+    {
+        return served_[tierIndex(t)].total();
+    }
+
+  protected:
+    HomeChainModel(SystemContext &ctx, bool hierarchical, bool node_tier);
+
+    // --- family hooks (one virtual call per hop) ---
+
+    /** May GPM `node` keep a copy of `line` in its L2? */
+    virtual bool
+    mayCacheAt(GpmId node, Addr line) const
+    {
+        (void)node;
+        (void)line;
+        return true;
+    }
+
+    /** Home `home` answers a load that `via` (another GPM) sent it. */
+    virtual void
+    onLoadAnswered(GpmId home, GpmId via, Addr line)
+    {
+        (void)home;
+        (void)via;
+        (void)line;
+    }
+
+    /** A write lands at home `home`; `writer` is the GPM to record as
+     *  holding the new data, or kInvalidGpm for none. */
+    virtual void
+    onStore(GpmId home, GpmId writer, Addr line)
+    {
+        (void)home;
+        (void)writer;
+        (void)line;
+    }
+
+    /** State threaded through a write-through chain. */
+    struct StoreFlow
+    {
+        MemAccess acc;
+        HomeChain chain;
+        Version v = 0;
+        DoneCb sysDone;           //!< per-op completion for the SM
+        bool gpuCleared = false;  //!< GPU-level tracker already released
+        bool recordWriter = true; //!< writer caches the line (not atomics)
+        bool tracked = true;      //!< counts against the ReleaseTracker
+        bool serialized = true;   //!< ordered by home arrival; false for
+                                  //!< write-back flushes of older data
+    };
+
+    /** The route from requester `r` for `line`, whose system home is
+     *  `h` (the page must be placed). */
+    HomeChain chainFor(GpmId r, Addr line, GpmId h) const;
+
+    /** Home levels on this machine's chain (1 flat, 2 with GPU homes,
+     *  3 with node homes): one invalidation wave each. */
+    int homeLevels() const { return 1 + hier_ + node_tier_; }
+
+    /** Send a write from its source (f.acc.gpm) up the chain: the first
+     *  hop of every store, write-back and write-through. */
+    void writeThrough(StoreFlow f);
+
+    /** Tag-check cost (misses); hits additionally pay dataLat(). */
+    Tick tagLat() const { return ctx_.cfg.l2TagLatency; }
+    Tick dataLat() const
+    {
+        return ctx_.cfg.l2HitLatency - ctx_.cfg.l2TagLatency;
+    }
+
+    bool hier_;
+    bool node_tier_;
+
+  private:
+    /** The load stage at hop `t`: a tag check, then loadAt(). `via` is
+     *  the GPM that sent the request (the hop itself at entry). */
+    void loadStage(const MemAccess &acc, const HomeChain &c, Tier t,
+                   GpmId via, LoadDoneCb back);
+    void loadAt(const MemAccess &acc, const HomeChain &c, Tier t,
+                GpmId via, LoadDoneCb back);
+
+    /** Deliver `v` from `at` to `via`, where `back` runs. */
+    void answerLoad(GpmId at, GpmId via, Addr line, Version v,
+                    LoadDoneCb back);
+
+    /** Fetch the line for hop `t` from the next hop (DRAM above the
+     *  system home); `then` runs at `t` with the value. */
+    template <typename Then>
+    void fetchLine(const MemAccess &acc, const HomeChain &c, Tier t,
+                   Then &&then);
+
+    /** The store stage at hop `t`, reached from `via`. */
+    void storeAt(StoreFlow f, Tier t, GpmId via);
+    /** The write leaves hop `t`: forward it up, or finish at the top. */
+    void storeFrom(StoreFlow f, Tier t);
+
+    /** The home performing an atomic: the GPU home for `.gpu` and
+     *  narrower scopes when the chain has one, else the system home. */
+    static Tier atomicTier(const MemAccess &acc, const HomeChain &c);
+    void atomicAt(const MemAccess &acc, const HomeChain &c, Version v,
+                  LoadDoneCb done, DoneCb sys_done);
+    void atomicPerform(const MemAccess &acc, const HomeChain &c,
+                       Version v, Version old_v, LoadDoneCb done,
+                       DoneCb sys_done);
+
+    /** The system home's memory update (DRAM write bandwidth). */
+    void writeMemory(GpmId h, Addr line, Version v, bool serialized);
+
+    // LP-sharded: counted on whichever LP serves the access.
+    std::array<LpCounter, kNumTiers> served_;
+};
 
 } // namespace hmg
 

@@ -23,6 +23,11 @@
  * Store-releases stall until the home node for the scope has absorbed
  * all of the SM's pending writes; with write-through caches and FIFO
  * channels no marker/ack traffic is needed.
+ *
+ * Loads, stores and atomics walk HomeChainModel's home chain
+ * (core/protocol.hh): requester -> GPU home (hierarchical only) ->
+ * system home, with no node tier on multi-node machines. The family's
+ * only per-hop policy is mayCacheAt().
  */
 
 #ifndef HMG_CORE_SW_PROTOCOL_HH
@@ -36,7 +41,7 @@ namespace hmg
 {
 
 /** Scoped software coherence (bulk invalidation based). */
-class SwProtocol : public CoherenceModel
+class SwProtocol : public HomeChainModel
 {
   public:
     /**
@@ -48,11 +53,6 @@ class SwProtocol : public CoherenceModel
     SwProtocol(SystemContext &ctx, bool hierarchical,
                bool cache_remote = true);
 
-    void load(const MemAccess &acc, LoadDoneCb done) override;
-    void store(const MemAccess &acc, Version v, DoneCb accepted,
-               DoneCb sys_done) override;
-    void atomic(const MemAccess &acc, Version v, LoadDoneCb done,
-                DoneCb sys_done) override;
     void acquire(const MemAccess &acc, DoneCb done) override;
     void release(const MemAccess &acc, DoneCb done) override;
     void kernelBoundary() override;
@@ -70,46 +70,13 @@ class SwProtocol : public CoherenceModel
     void reportStats(StatRecorder &r) const override;
 
   protected:
-    /** May GPM `node` keep a copy of `line` in its L2? */
-    bool mayCacheAt(GpmId node, Addr line) const;
+    bool mayCacheAt(GpmId node, Addr line) const override;
 
-    Tick l2Lat() const { return ctx_.cfg.l2HitLatency; }
-    /** Tag-check cost (misses); hits additionally pay dataLat(). */
-    Tick tagLat() const { return ctx_.cfg.l2TagLatency; }
-    Tick dataLat() const
-    {
-        return ctx_.cfg.l2HitLatency - ctx_.cfg.l2TagLatency;
-    }
-
-    void loadAtGpuHome(MemAccess acc, GpmId gh, GpmId h, LoadDoneCb done);
-    void loadAtSysHome(MemAccess acc, GpmId h, LoadDoneCb respond);
-
-    struct StoreFlow
-    {
-        MemAccess acc;
-        Version v = 0;
-        DoneCb sysDone;
-        bool gpuCleared = false;
-    };
-
-    void storeAtGpuHome(StoreFlow f, GpmId gh, GpmId h);
-    void storeAtSysHome(StoreFlow f, GpmId h);
-
-    void atomicAtHome(MemAccess acc, GpmId target, GpmId h, Version v,
-                      LoadDoneCb done, DoneCb sys_done);
-    void atomicPerform(MemAccess acc, GpmId target, GpmId h, Version v,
-                       Version old_v, LoadDoneCb done, DoneCb sys_done);
-
-    bool hier_;
     bool cache_remote_;
 
     // LP-sharded: these count on whichever LP serves the access.
     LpCounter acquire_l2_invs_;
     LpCounter kernel_boundary_invs_;
-    LpCounter loads_local_hit_;
-    LpCounter loads_gpu_home_hit_;
-    LpCounter loads_sys_home_hit_;
-    LpCounter loads_dram_;
 };
 
 } // namespace hmg

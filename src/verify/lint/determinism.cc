@@ -18,9 +18,8 @@ namespace
 {
 
 // Banned/suppressible tokens are spelled as split literals throughout
-// this file so the legacy grep fallback in tools/lint_determinism.sh
-// (which scans raw source lines, strings included) never matches the
-// analyzer's own pattern constants.
+// this file so a raw-text search of the tree (strings included) finds
+// only real uses, never the analyzer's own pattern constants.
 
 constexpr int kWindow = 4; //!< det-ok applies to the 4 lines below it
 
@@ -360,9 +359,9 @@ struct BannedToken
 std::vector<BannedToken>
 entropyTokens()
 {
-    // Split literals — in the diagnostic text too, which the legacy
-    // grep fallback would otherwise match: see the note at the top of
-    // this file.
+    // Split literals — in the diagnostic text too, which a raw-text
+    // search would otherwise match: see the note at the top of this
+    // file.
     return {
         {std::string("std::ra") + "nd", true,
          std::string("std::ra") + "nd (use the seeded mt19937 from "

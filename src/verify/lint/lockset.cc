@@ -15,9 +15,9 @@ namespace hmg::verify::lint
 namespace
 {
 
-// Pattern constants that would trip the determinism lint's legacy grep
-// fallback (tools/lint_determinism.sh scans raw text, strings
-// included) are spelled as split literals, same as determinism.cc.
+// Pattern constants that a raw-text search for banned tokens would
+// match (strings included) are spelled as split literals, same as
+// determinism.cc.
 
 constexpr int kWindow = 4; //!< an `lp-ok:` covers the 4 lines below it
 

@@ -11,22 +11,36 @@
 # the L2 to 1 MB per GPU: its eviction and hit counts pin the LRU victim
 # choice end to end. The mst cell's L1 invalidated-line count pins the
 # valid-line count that bulk invalidation reports.
-# Run as: exact_counters.sh <path-to-hmgsim>
+#
+# Every protocol family walks the same home chain, so one cell per
+# family (SW-Hier, the no-remote-caching baseline, NHCC, Ideal) and an
+# HMG cell on the two-node topology (the live node tier) pin the event
+# and message counts and where each load found its data
+# (protocol.loads_*).
+# Run as: exact_counters.sh <path-to-hmgsim> <source-root>
 set -u
 
-HMGSIM=${1:?usage: exact_counters.sh <path-to-hmgsim>}
+HMGSIM=${1:?usage: exact_counters.sh <path-to-hmgsim> <source-root>}
+SRC=${2:?usage: exact_counters.sh <path-to-hmgsim> <source-root>}
+case $HMGSIM in
+    /*) ;;
+    *) HMGSIM=$PWD/$HMGSIM ;;
+esac
+# Cells name topology files relative to the source root.
+cd "$SRC" || exit 1
 fails=0
 
 # expect "<workload> [flags]" <stat> <value>...: exact values from one
-# --stats run.
+# --stats run at scale 1, trace seed 1, HMG unless the cell's flags say
+# otherwise (they come last, so they override the defaults).
 expect() {
     local workload=$1
     shift
     local -a cell
     read -ra cell <<< "$workload"
     local dump
-    if ! dump=$("$HMGSIM" --workload "${cell[@]}" --protocol hmg \
-                --scale 1 --seed 1 --stats 2>&1); then
+    if ! dump=$("$HMGSIM" --protocol hmg --scale 1 --seed 1 --stats \
+                --workload "${cell[@]}" 2>&1); then
         echo "FAIL: $workload: hmgsim exited nonzero"
         fails=$((fails + 1))
         return
@@ -46,10 +60,32 @@ expect() {
 }
 
 expect mst engine.events 1311011 noc.delivered 293310 \
-    sm_total.l1.invalidated_lines 69081
-expect lstm engine.events 1490468 noc.delivered 97185
+    sm_total.l1.invalidated_lines 69081 \
+    protocol.loads_local_hit 1594 protocol.loads_gpu_home_hit 6026 \
+    protocol.loads_sys_home_hit 25308 protocol.loads_dram 33683
+expect lstm engine.events 1490468 noc.delivered 97185 \
+    protocol.loads_local_hit 14304 protocol.loads_gpu_home_hit 3576 \
+    protocol.loads_sys_home_hit 104615 protocol.loads_dram 20628
 expect "mst --l2-mb 1" engine.events 1335198 noc.delivered 299244 \
     total.l2.evictions 92779 total.l2.load_hits 29055
+expect "mst --protocol swh" engine.events 1235954 noc.delivered 229233 \
+    protocol.loads_local_hit 361 protocol.loads_gpu_home_hit 897 \
+    protocol.loads_sys_home_hit 5539 protocol.loads_dram 58930
+expect "mst --protocol baseline" engine.events 1048116 \
+    noc.delivered 150742 \
+    protocol.loads_local_hit 65 protocol.loads_gpu_home_hit 0 \
+    protocol.loads_sys_home_hit 2844 protocol.loads_dram 63271
+expect "mst --protocol nhcc" engine.events 1576552 noc.delivered 404145 \
+    protocol.loads_local_hit 1940 protocol.loads_gpu_home_hit 0 \
+    protocol.loads_sys_home_hit 31957 protocol.loads_dram 33733
+expect "lstm --protocol ideal" engine.events 1452410 noc.delivered 77760 \
+    protocol.loads_local_hit 20736 protocol.loads_gpu_home_hit 5184 \
+    protocol.loads_sys_home_hit 103007 protocol.loads_dram 20628
+expect "mst --topology examples/topologies/two_node_2x2x2.json" \
+    engine.events 1656967 noc.delivered 259691 \
+    protocol.loads_local_hit 1604 protocol.loads_gpu_home_hit 6796 \
+    protocol.loads_node_home_hit 2138 protocol.loads_sys_home_hit 22026 \
+    protocol.loads_dram 35458
 
 if [ "$fails" -ne 0 ]; then
     echo "exact_counters: $fails mismatches"

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/hw_protocol.hh"
 #include "test_system.hh"
 
@@ -165,11 +167,105 @@ TEST(HmgHierarchy, SecondGpmHitsGpuHomeWithoutCrossingGpus)
     d.sys.gpm(3).l2().invalidateLine(kA);
     auto *hw = dynamic_cast<HwProtocol *>(&d.model());
     ASSERT_NE(hw, nullptr);
-    const auto gpu_hits_before = hw->loadsGpuHomeHit();
+    const auto gpu_hits_before = hw->loadsServed(Tier::GpuHome);
     d.load(6, kA);
     EXPECT_EQ(d.sys.network().interGpuBytes(MsgType::ReadResp),
               inter_before);
-    EXPECT_EQ(hw->loadsGpuHomeHit(), gpu_hits_before + 1);
+    EXPECT_EQ(hw->loadsServed(Tier::GpuHome), gpu_hits_before + 1);
+}
+
+// ------------------------------------------ one load per service point
+
+/** The small machine split into two nodes of two GPUs each. */
+SystemConfig
+twoNodeConfig(Protocol p)
+{
+    SystemConfig cfg = testing::smallConfig(p);
+    cfg.numNodes = 2;
+    cfg.numGpus = 4;
+    return cfg;
+}
+
+/** protocol.loads_* in service-point order: local, GPU home, node home,
+ *  system home, DRAM. */
+std::array<double, 5>
+loadService(DirectDrive &d)
+{
+    StatRecorder r;
+    d.model().reportStats(r);
+    return {r.get("protocol.loads_local_hit"),
+            r.get("protocol.loads_gpu_home_hit"),
+            r.get("protocol.loads_node_home_hit"),
+            r.get("protocol.loads_sys_home_hit"),
+            r.get("protocol.loads_dram")};
+}
+
+TEST(HomeChain, HmgServesEachLoadOneTierHigher)
+{
+    // kA lives at GPM0 (node 0, GPU0). A requester at GPM7 (node 1,
+    // GPU3) walks GPM7 -> GPU home GPM6 -> node home GPM4 -> system
+    // home GPM0 -> DRAM: four distinct L2s.
+    DirectDrive d(Protocol::Hmg, twoNodeConfig(Protocol::Hmg));
+    d.place(kA, 0);
+    const SmId sm = 14; // GPM7
+    ASSERT_EQ(d.gpmOf(sm), 7u);
+    const GpmId chain[] = {7, 6, 4, 0};
+
+    // Each step drops the copies below the tier that must serve the
+    // load; the cold first load and the last one come from DRAM.
+    const int served_by[] = {4, 0, 1, 2, 3, 4};
+    for (int tier : served_by) {
+        for (int below = 0; below < tier && below < 4; ++below)
+            d.sys.gpm(chain[below]).l2().invalidateLine(kA);
+        const auto before = loadService(d);
+        d.load(sm, kA);
+        const auto after = loadService(d);
+        for (int t = 0; t < 5; ++t)
+            EXPECT_EQ(after[t], before[t] + (t == tier ? 1 : 0))
+                << "load served by tier " << tier << ", counter " << t;
+        // Every L2 the miss crossed holds the line now.
+        for (int hop = 0; hop < 4; ++hop)
+            EXPECT_TRUE(d.l2Has(chain[hop], kA))
+                << "tier " << tier << ", hop GPM" << chain[hop];
+    }
+}
+
+TEST(HomeChain, SwHierSkipsTheNodeHome)
+{
+    // Software coherence has no node tier: GPM7 -> GPM6 -> GPM0.
+    DirectDrive d(Protocol::SwHier, twoNodeConfig(Protocol::SwHier));
+    d.place(kA, 0);
+    d.load(14, kA);
+    EXPECT_EQ(d.sys.network().messages(MsgType::ReadReq), 2u);
+    EXPECT_TRUE(d.l2Has(7, kA));
+    EXPECT_TRUE(d.l2Has(6, kA));
+    EXPECT_FALSE(d.l2Has(4, kA));
+    d.sys.gpm(7).l2().invalidateLine(kA);
+    d.sys.gpm(6).l2().invalidateLine(kA);
+    const auto before = loadService(d);
+    d.load(14, kA);
+    const auto after = loadService(d);
+    EXPECT_EQ(after[3], before[3] + 1); // system home
+    EXPECT_EQ(after[2], 0.0);           // no node-home counter at all
+    EXPECT_FALSE(d.l2Has(4, kA));
+}
+
+TEST(HomeChain, NoRemoteCacheFillsNoRemoteGpuL2)
+{
+    DirectDrive d(Protocol::NoRemoteCache,
+                  twoNodeConfig(Protocol::NoRemoteCache));
+    d.place(kA, 0);
+    for (SmId sm : {14u, 14u, 8u, 2u})
+        d.load(sm, kA);
+    // Only GPU0 may cache kA: its other GPM (GPM1) and the home.
+    EXPECT_TRUE(d.l2Has(0, kA));
+    EXPECT_TRUE(d.l2Has(1, kA));
+    for (GpmId g = 2; g < d.cfg().totalGpms(); ++g)
+        EXPECT_FALSE(d.l2Has(g, kA)) << "GPM" << g;
+    const auto s = loadService(d);
+    EXPECT_EQ(s[0], 0.0); // remote requesters never hit locally
+    EXPECT_EQ(s[4], 1.0); // one DRAM fetch, then system-home hits
+    EXPECT_EQ(s[3], 3.0);
 }
 
 TEST(HmgHierarchy, InvalidationForwardedThroughGpuHome)

@@ -12,10 +12,8 @@
 # the stable entry point CI and the `determinism_lint` ctest call; it
 # finds a built hmglint and delegates.
 #
-# When no hmglint binary exists yet (fresh checkout, no build), the
-# original grep-based rules below run as a degraded fallback so the
-# lint never silently passes on an unbuilt tree. The fallback checks a
-# strict subset of what hmglint checks.
+# An unbuilt tree fails with a named error rather than running a weaker
+# check: build hmglint first (any preset's build dir will do).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,45 +29,10 @@ if [ -z "$LINT" ]; then
     done
 fi
 
-if [ -n "$LINT" ] && [ -x "$LINT" ]; then
-    exec "$LINT" --determinism --root .
+if [ -z "$LINT" ] || [ ! -x "$LINT" ]; then
+    echo "determinism lint: no hmglint binary found (looked at \$HMGLINT," \
+         "build/tools/hmglint, build-*/tools/hmglint): build hmglint first" >&2
+    exit 2
 fi
 
-echo "determinism lint: no hmglint binary found; using legacy grep rules" >&2
-
-fail=0
-
-# --- rule 1: unordered containers need a det-ok justification ---------
-while IFS=: read -r file line _; do
-    start=$((line > 4 ? line - 4 : 1))
-    if ! sed -n "${start},${line}p" "$file" | grep -q 'det-ok'; then
-        echo "determinism: $file:$line: std::unordered container without a 'det-ok:' justification" >&2
-        fail=1
-    fi
-done < <(grep -rn 'std::unordered_\(map\|set\)<' src/ --include='*.hh' --include='*.cc' || true)
-
-# --- rule 3: LP-scheduler shared mutable state needs det-ok -----------
-# std::recursive_mutex is spelled out: `std::mutex` is not a substring
-# of it, and the recursive model-mutex is exactly the kind of state this
-# rule exists to force a justification for.
-while IFS=: read -r file line _; do
-    start=$((line > 4 ? line - 4 : 1))
-    if ! sed -n "${start},${line}p" "$file" | grep -q 'det-ok'; then
-        echo "determinism: $file:$line: shared mutable state (atomic/mutex/thread) in src/sim without a 'det-ok:' justification" >&2
-        fail=1
-    fi
-done < <(grep -rn 'std::atomic\|std::mutex\|std::recursive_mutex\|std::condition_variable\|thread_local\|std::thread\b' \
-        src/sim/ --include='*.hh' --include='*.cc' || true)
-
-# --- rule 2: no ambient entropy or wall-clock in the model ------------
-if grep -rn 'std::rand\b\|random_device\|time(nullptr)\|::now()' \
-        src/ --include='*.hh' --include='*.cc' | grep -v 'det-ok'; then
-    echo "determinism: ambient entropy / wall-clock source in src/ (seeded mt19937 only)" >&2
-    fail=1
-fi
-
-if [ "$fail" -ne 0 ]; then
-    echo "determinism lint: FAIL" >&2
-    exit 1
-fi
-echo "determinism lint: clean (legacy rules)"
+exec "$LINT" --determinism --root .
