@@ -10,7 +10,9 @@
 # The ledger cells never evict from their L2s, so a third cell shrinks
 # the L2 to 1 MB per GPU: its eviction and hit counts pin the LRU victim
 # choice end to end. The mst cell's L1 invalidated-line count pins the
-# valid-line count that bulk invalidation reports.
+# valid-line count that bulk invalidation reports. The mst and lstm
+# cells also pin the SM front end: ops executed, loads answered from the
+# store buffer, and loads merged into an in-flight L2 miss.
 #
 # Every protocol family walks the same home chain, so one cell per
 # family (SW-Hier, the no-remote-caching baseline, NHCC, Ideal) and an
@@ -61,9 +63,11 @@ expect() {
 
 expect mst engine.events 1311011 noc.delivered 293310 \
     sm_total.l1.invalidated_lines 69081 \
+    sm_total.ops 99872 sm_total.sb_forwards 8 total.mshr_merges 2542 \
     protocol.loads_local_hit 1594 protocol.loads_gpu_home_hit 6026 \
     protocol.loads_sys_home_hit 25308 protocol.loads_dram 33683
 expect lstm engine.events 1490468 noc.delivered 97185 \
+    sm_total.ops 239664 sm_total.sb_forwards 0 total.mshr_merges 78061 \
     protocol.loads_local_hit 14304 protocol.loads_gpu_home_hit 3576 \
     protocol.loads_sys_home_hit 104615 protocol.loads_dram 20628
 expect "mst --l2-mb 1" engine.events 1335198 noc.delivered 299244 \
