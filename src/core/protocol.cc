@@ -161,20 +161,16 @@ HomeChainModel::loadAt(const MemAccess &acc, const HomeChain &c, Tier t,
         }
         // Coalesce with an in-flight miss on the same line: the answer
         // to this requester waits in the MSHR.
-        LoadDoneCb reply = std::move(back);
-        if (via != at)
-            reply = [this, at, via, line,
-                     back = std::move(reply)](Version v) mutable {
-                answerLoad(at, via, line, v, std::move(back));
-            };
-        if (!node.mshrRegister(line, std::move(reply)))
+        if (!node.mshrRegister(line, via, std::move(back)))
             return;
         if (t == Tier::SysHome)
             ++served_[tierIndex(Tier::Dram)];
         fetchLine(acc, c, t, [this, at, line](Version v) {
             GpmNode &n = ctx_.gpm(at);
             n.l2().fill(line, v);
-            n.mshrComplete(line, v);
+            n.mshrComplete(line, [&](GpmId w_via, LoadDoneCb w_back) {
+                answerLoad(at, w_via, line, v, std::move(w_back));
+            });
         });
         return;
     }

@@ -94,8 +94,8 @@ struct SystemContext
 /**
  * Completion callback carrying the version a load observed. Move-only
  * SmallCallback (sim/callback.hh) rather than std::function: the SM
- * front-end's completion captures (~48–56 bytes) live in the inline
- * buffer, so the protocol hot path allocates nothing per operation.
+ * front-end's load completion (`this`, a line, a warp index and a
+ * flag: 24 bytes) lives in the inline buffer instead of on the heap.
  */
 using LoadDoneCb = SmallCallback<kCompletionCbBytes, void(Version)>;
 /** Completion callback for stores/fences (move-only, heap-free). */

@@ -50,25 +50,29 @@ GpmNode::waitInvDrained(Callback cb)
 }
 
 bool
-GpmNode::mshrRegister(Addr line, MissCb cb)
+GpmNode::mshrRegister(Addr line, GpmId via, MissCb cb)
 {
-    auto [it, first] = mshr_.try_emplace(line);
-    it->second.push_back(std::move(cb));
-    if (!first)
-        ++mshr_merges_;
-    return first;
-}
+    std::uint32_t w = free_waiter_;
+    if (w == kNoWaiter) {
+        w = static_cast<std::uint32_t>(waiters_.size());
+        waiters_.emplace_back();
+    } else {
+        free_waiter_ = waiters_[w].next;
+    }
+    MshrWaiter &slot = waiters_[w];
+    slot.cb = std::move(cb);
+    slot.via = via;
+    slot.next = kNoWaiter;
 
-void
-GpmNode::mshrComplete(Addr line, Version v)
-{
-    auto it = mshr_.find(line);
-    if (it == mshr_.end())
-        return;
-    auto waiters = std::move(it->second);
-    mshr_.erase(it);
-    for (auto &cb : waiters)
-        cb(v);
+    auto [e, first] = mshr_.tryEmplace(line);
+    if (first) {
+        e->head = w;
+    } else {
+        waiters_[e->tail].next = w;
+        ++mshr_merges_;
+    }
+    e->tail = w;
+    return first;
 }
 
 void

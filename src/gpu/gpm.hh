@@ -10,11 +10,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "common/config.hh"
+#include "common/line_table.hh"
 #include "common/stats.hh"
 #include "core/directory.hh"
 #include "mem/dram.hh"
@@ -90,14 +90,39 @@ class GpmNode
     using MissCb = SmallCallback<kCompletionCbBytes, void(Version)>;
 
     /**
-     * Join the miss on `line`. @return true if the caller is the
-     * primary and must perform the fetch (its own continuation is
-     * already parked); false if it merged behind an in-flight fetch.
+     * Join the miss on `line` with continuation `cb`, which answers the
+     * GPM `via`. @return true if the caller is the primary and must
+     * perform the fetch (its own continuation is already parked); false
+     * if it merged behind an in-flight fetch.
      */
-    bool mshrRegister(Addr line, MissCb cb);
+    bool mshrRegister(Addr line, GpmId via, MissCb cb);
 
-    /** The fill for `line` landed: fire every parked continuation. */
-    void mshrComplete(Addr line, Version v);
+    /**
+     * The fill for `line` landed: unlink its entry, then hand every
+     * parked continuation to `wake(via, cb)` in registration order.
+     * A registration made by a wake-up starts a fresh entry. Completing
+     * a line with no entry does nothing.
+     */
+    template <typename Wake>
+    void
+    mshrComplete(Addr line, Wake &&wake)
+    {
+        const MshrEntry *e = mshr_.find(line);
+        if (!e)
+            return;
+        std::uint32_t w = e->head;
+        mshr_.erase(line);
+        while (w != kNoWaiter) {
+            MshrWaiter &slot = waiters_[w];
+            const std::uint32_t next = slot.next;
+            const GpmId via = slot.via;
+            MissCb cb = std::move(slot.cb);
+            slot.next = free_waiter_;
+            free_waiter_ = w;
+            wake(via, std::move(cb));
+            w = next;
+        }
+    }
 
     std::uint64_t mshrMerges() const { return mshr_merges_; }
 
@@ -121,9 +146,24 @@ class GpmNode
     Cache l2_;
     Dram dram_;
     std::unique_ptr<Directory> dir_;
-    // det-ok: MSHRs are probed/erased by line address; the waiter list
-    // itself is an ordered vector, so wakeup order is deterministic.
-    std::unordered_map<Addr, std::vector<MissCb>> mshr_;
+    // MSHRs: a flat table of per-line waiter chains, each chain a FIFO
+    // of slots in a pooled slab whose free slots are linked through
+    // `next`.
+    static constexpr std::uint32_t kNoWaiter = ~std::uint32_t{0};
+    struct MshrEntry
+    {
+        std::uint32_t head = kNoWaiter;
+        std::uint32_t tail = kNoWaiter;
+    };
+    struct MshrWaiter
+    {
+        MissCb cb;
+        GpmId via = kInvalidGpm;
+        std::uint32_t next = kNoWaiter;
+    };
+    LineTable<MshrEntry> mshr_;
+    std::vector<MshrWaiter> waiters_;
+    std::uint32_t free_waiter_ = kNoWaiter;
     std::uint64_t mshr_merges_ = 0;
     std::uint64_t pending_invs_ = 0;
     std::vector<Callback> inv_waiters_;

@@ -34,25 +34,40 @@ Sm::accessFor(const trace::MemOp &op) const
 
 // ------------------------------------------------------------ CTA entry
 
+namespace
+{
+
+/** A free slot of `slab`: the last one freed, else a new one. */
+template <typename T>
+std::uint32_t
+takeSlot(std::vector<T> &slab, std::vector<std::uint32_t> &free)
+{
+    if (free.empty()) {
+        slab.emplace_back();
+        return static_cast<std::uint32_t>(slab.size() - 1);
+    }
+    const std::uint32_t s = free.back();
+    free.pop_back();
+    return s;
+}
+
+} // namespace
+
 void
-Sm::runCta(const trace::Cta &cta, std::function<void()> on_done)
+Sm::runCta(const trace::Cta &cta, DoneCb on_done)
 {
     hmg_assert(canAccept(cta));
     hmg_assert(!cta.warps.empty());
 
-    auto remaining = std::make_shared<std::uint32_t>(
-        static_cast<std::uint32_t>(cta.warps.size()));
-    auto cta_done = [this, remaining, on_done = std::move(on_done)]() {
-        if (--*remaining == 0)
-            on_done();
-    };
+    const auto n = static_cast<std::uint32_t>(cta.warps.size());
+    const std::uint32_t c = takeSlot(ctas_, free_ctas_);
+    ctas_[c].remaining = n;
+    ctas_[c].onDone = std::move(on_done);
 
-    active_warps_ += static_cast<std::uint32_t>(cta.warps.size());
+    active_warps_ += n;
     for (const auto &warp : cta.warps) {
-        auto w = std::make_shared<WarpCtx>();
-        w->warp = &warp;
-        w->pc = 0;
-        w->onDone = cta_done;
+        const std::uint32_t w = takeSlot(warps_, free_warps_);
+        warps_[w] = WarpCtx{&warp, 0, 0, c, Resume::None};
         warpStep(w);
     }
 }
@@ -60,80 +75,67 @@ Sm::runCta(const trace::Cta &cta, std::function<void()> on_done)
 // ------------------------------------------------------- warp scheduling
 
 void
-Sm::warpStep(const WarpPtr &w)
+Sm::warpStep(std::uint32_t w)
 {
-    if (w->pc >= w->warp->ops.size()) {
-        if (w->inflight > 0) {
-            // Retire only once every posted load has returned. The
-            // parked continuation lives *inside* the WarpCtx, so it
-            // must not own it: a strong self-capture is a cycle that
-            // leaks every warp abandoned by a SimHang unwind. While
-            // parked, inflight > 0 — each in-flight load's completion
-            // callback holds the strong reference that keeps the
-            // context alive, so the lock below cannot fail in a live
-            // simulation.
-            w->resume = [this, wp = std::weak_ptr<WarpCtx>(w)]() {
-                auto s = wp.lock();
-                hmg_assert(s);
-                warpStep(s);
-            };
+    WarpCtx &wc = warps_[w];
+    if (wc.pc >= wc.warp->ops.size()) {
+        // Retire only once every posted load has returned.
+        if (wc.inflight > 0) {
+            wc.resume = Resume::Step;
             return;
         }
         finishWarp(w);
         return;
     }
-    const trace::MemOp &op = w->warp->ops[w->pc];
+    const trace::MemOp &op = wc.warp->ops[wc.pc];
     // Abstract compute before the op, then the shared issue port.
     Tick after_compute = ctx_.engine().now() + op.delay;
     Tick issued = issue_port_.sendAt(after_compute, 1);
-    ctx_.engine().scheduleAt(issued, [this, w, &op]() { execute(w, op); });
+    ctx_.engine().scheduleAt(issued, [this, w]() { execute(w); });
 }
 
 void
-Sm::advance(const WarpPtr &w)
+Sm::advance(std::uint32_t w)
 {
-    ++w->pc;
+    ++warps_[w].pc;
     warpStep(w);
 }
 
 void
-Sm::finishWarp(const WarpPtr &w)
+Sm::finishWarp(std::uint32_t w)
 {
     hmg_assert(active_warps_ > 0);
     --active_warps_;
-    w->onDone();
+    const std::uint32_t c = warps_[w].cta;
+    free_warps_.push_back(w);
+    // The completion may place the next CTA on this SM, which reuses
+    // the freed slots (and may grow the slabs), so take it out first.
+    if (--ctas_[c].remaining == 0) {
+        DoneCb done = std::move(ctas_[c].onDone);
+        free_ctas_.push_back(c);
+        done.consume();
+    }
 }
 
 void
-Sm::execute(const WarpPtr &w, const trace::MemOp &op)
+Sm::execute(std::uint32_t w)
 {
+    WarpCtx &wc = warps_[w];
+    const trace::MemOp &op = wc.warp->ops[wc.pc];
     // Structural hazards. Synchronizing ops (atomics, fences,
     // acquire-loads, release-stores) drain the warp's posted loads
-    // first; plain loads stall at the per-warp in-flight limit.
+    // first; plain loads stall at the per-warp in-flight limit. A
+    // parked warp has inflight > 0, so a load completion unparks it.
     const bool needs_drain =
         op.type == MemOpType::Atomic || op.type == MemOpType::AcqFence ||
         op.type == MemOpType::RelFence ||
         (op.type == MemOpType::Load && op.acq &&
          op.scope > Scope::Cta) ||
         (op.type == MemOpType::Store && op.rel && op.scope > Scope::Cta);
-    // Both park sites require inflight > 0, so the weak self-capture
-    // (cycle avoidance, see warpStep) is safe: outstanding load
-    // completions own the context until the warp is unparked.
-    if (needs_drain && w->inflight > 0) {
-        w->resume = [this, wp = std::weak_ptr<WarpCtx>(w), &op]() {
-            auto s = wp.lock();
-            hmg_assert(s);
-            execute(s, op);
-        };
-        return;
-    }
-    if (op.type == MemOpType::Load && !needs_drain &&
-        w->inflight >= ctx_.cfg.warpMaxInflightLoads) {
-        w->resume = [this, wp = std::weak_ptr<WarpCtx>(w), &op]() {
-            auto s = wp.lock();
-            hmg_assert(s);
-            execute(s, op);
-        };
+    if ((needs_drain && wc.inflight > 0) ||
+        (op.type == MemOpType::Load && !needs_drain &&
+         wc.inflight >= ctx_.cfg.warpMaxInflightLoads)) {
+        wc.resume = Resume::Execute;
         return;
     }
 
@@ -149,10 +151,10 @@ Sm::execute(const WarpPtr &w, const trace::MemOp &op)
         doAtomic(w, op);
         break;
       case MemOpType::AcqFence:
-        doAcquire(w, op);
+        acquireThenAdvance(w);
         break;
       case MemOpType::RelFence:
-        doRelease(w, op, [this, w]() { advance(w); });
+        doRelease(op, [this, w]() { advance(w); });
         break;
     }
 }
@@ -160,7 +162,7 @@ Sm::execute(const WarpPtr &w, const trace::MemOp &op)
 // ------------------------------------------------------------------ loads
 
 void
-Sm::doLoad(const WarpPtr &w, const trace::MemOp &op)
+Sm::doLoad(std::uint32_t w, const trace::MemOp &op)
 {
     ++loads_;
     const MemAccess acc = accessFor(op);
@@ -168,9 +170,8 @@ Sm::doLoad(const WarpPtr &w, const trace::MemOp &op)
 
     if (acc.scope <= Scope::Cta) {
         // Forward the warp's own in-flight writes.
-        const Version *sb = sbLookup(acc.lineAddr);
-        auto l1 = sb ? Cache::LoadResult{false, 0} : l1_.load(acc.lineAddr);
-        if (sb || l1.hit) {
+        const bool sb = store_buffer_.find(acc.lineAddr) != nullptr;
+        if (sb || l1_.load(acc.lineAddr).hit) {
             if (sb)
                 ++sb_forwards_;
             // Near-hit: the warp continues after the L1 access time.
@@ -180,157 +181,156 @@ Sm::doLoad(const WarpPtr &w, const trace::MemOp &op)
         }
     }
 
-    if (blocking) {
-        // Acquire-loads behave like the classic blocking load: the warp
-        // waits for the value, performs the acquire, then continues.
-        withSlot([this, w, acc, &op]() {
-            ctx_.engine().schedule(ctx_.cfg.l1HitLatency,
-                                 [this, w, acc, &op]() {
-                model_.load(acc, [this, w, acc, &op](Version v) {
-                    if (model_.mayCacheInL1(gpm_, acc.lineAddr))
-                        l1_.fill(acc.lineAddr, v);
-                    releaseSlot();
-                    (void)v;
-                    acquireThenAdvance(w, op);
-                });
-            });
-        });
-        return;
-    }
-
-    // Posted load: the warp continues immediately and only stalls at
-    // the in-flight limit or at the next synchronizing op.
-    ++w->inflight;
-    withSlot([this, w, acc]() {
-        ctx_.engine().schedule(ctx_.cfg.l1HitLatency, [this, w, acc]() {
-            model_.load(acc, [this, w, acc](Version v) {
-                if (model_.mayCacheInL1(gpm_, acc.lineAddr))
-                    l1_.fill(acc.lineAddr, v);
+    // Acquire-loads behave like the classic blocking load: the warp
+    // waits for the value, performs the acquire, then continues. A
+    // posted load lets the warp continue after one cycle; it only
+    // stalls at the in-flight limit or at the next synchronizing op.
+    if (!blocking)
+        ++warps_[w].inflight;
+    withSlot([this, line = acc.lineAddr, w, scope = acc.scope, blocking]() {
+        ctx_.engine().schedule(ctx_.cfg.l1HitLatency,
+                               [this, line, w, scope, blocking]() {
+            model_.load(MemAccess{id_, gpm_, line, scope},
+                        [this, line, w, blocking](Version v) {
+                if (model_.mayCacheInL1(gpm_, line))
+                    l1_.fill(line, v);
                 releaseSlot();
-                loadCompleted(w);
+                if (blocking)
+                    acquireThenAdvance(w);
+                else
+                    loadCompleted(w);
             });
         });
     });
-    ctx_.engine().schedule(1, [this, w]() { advance(w); });
+    if (!blocking)
+        ctx_.engine().schedule(1, [this, w]() { advance(w); });
 }
 
 void
-Sm::loadCompleted(const WarpPtr &w)
+Sm::loadCompleted(std::uint32_t w)
 {
-    hmg_assert(w->inflight > 0);
-    --w->inflight;
-    if (w->resume) {
-        auto r = std::move(w->resume);
-        w->resume = nullptr;
-        r();
+    WarpCtx &wc = warps_[w];
+    hmg_assert(wc.inflight > 0);
+    --wc.inflight;
+    switch (std::exchange(wc.resume, Resume::None)) {
+      case Resume::None:
+        break;
+      case Resume::Step:
+        warpStep(w);
+        break;
+      case Resume::Execute:
+        execute(w);
+        break;
     }
 }
 
 // ----------------------------------------------------------------- stores
 
 void
-Sm::doStore(const WarpPtr &w, const trace::MemOp &op)
+Sm::doStore(std::uint32_t w, const trace::MemOp &op)
 {
     ++stores_;
-    auto body = [this, w, &op]() {
-        const MemAccess acc = accessFor(op);
-        const Version v = ctx_.mem.allocateVersion();
-
-        // Transport backpressure: a congested egress NIC parks the
-        // write-through here until credits drain, so an oversubscribed
-        // inter-GPU link throttles store issue instead of growing an
-        // unbounded in-network queue.
-        ctx_.net.whenInjectable(gpm_, [this, w, acc, v]() {
-            withSlot([this, w, acc, v]() {
-                ctx_.tracker.issued(id_);
-                // Write-through, no-allocate L1 update.
-                l1_.store(acc.lineAddr, v);
-                sbInsert(acc.lineAddr, v);
-                model_.store(acc, v, /*accepted=*/[]() {},
-                             /*sys_done=*/[this, line = acc.lineAddr]() {
-                    sbRemove(line);
-                    releaseSlot();
-                });
-                // The warp retires the posted store after a small cost.
-                ctx_.engine().schedule(ctx_.cfg.storeIssueCost,
-                                     [this, w]() { advance(w); });
-            });
-        });
-    };
-
     if (op.rel && op.scope > Scope::Cta)
-        doRelease(w, op, std::move(body));
+        doRelease(op, [this, w]() { storeBody(w); });
     else
-        body();
+        storeBody(w);
+}
+
+void
+Sm::storeBody(std::uint32_t w)
+{
+    const Version v = ctx_.mem.allocateVersion();
+
+    // Transport backpressure: a congested egress NIC parks the
+    // write-through here until credits drain, so an oversubscribed
+    // inter-GPU link throttles store issue instead of growing an
+    // unbounded in-network queue. The warp waits on ops[pc] until
+    // the store has its slot.
+    ctx_.net.whenInjectable(gpm_, [this, w, v]() {
+        withSlot([this, w, v]() {
+            const MemAccess acc = accessFor(opOf(w));
+            ctx_.tracker.issued(id_);
+            // Write-through, no-allocate L1 update.
+            l1_.store(acc.lineAddr, v);
+            sbInsert(acc.lineAddr);
+            model_.store(acc, v, /*accepted=*/[]() {},
+                         /*sys_done=*/[this, line = acc.lineAddr]() {
+                sbRemove(line);
+                releaseSlot();
+            });
+            // The warp retires the posted store after a small cost.
+            ctx_.engine().schedule(ctx_.cfg.storeIssueCost,
+                                 [this, w]() { advance(w); });
+        });
+    });
 }
 
 // ---------------------------------------------------------------- atomics
 
 void
-Sm::doAtomic(const WarpPtr &w, const trace::MemOp &op)
+Sm::doAtomic(std::uint32_t w, const trace::MemOp &op)
 {
     ++atomics_;
-    auto body = [this, w, &op]() {
-        const MemAccess acc = accessFor(op);
-        const Version v = ctx_.mem.allocateVersion();
-
-        // Atomics bypass and clean the L1 so the issuing warp never
-        // reads its own stale pre-RMW copy.
-        l1_.invalidateLine(acc.lineAddr);
-
-        withSlot([this, w, acc, v, &op]() {
-            ctx_.tracker.issued(id_);
-            model_.atomic(acc, v,
-                          /*done=*/[this, w, &op](Version) {
-                if (op.acq && op.scope > Scope::Cta)
-                    acquireThenAdvance(w, op);
-                else
-                    advance(w);
-            },
-                          /*sys_done=*/[this]() { releaseSlot(); });
-        });
-    };
-
     if (op.rel && op.scope > Scope::Cta)
-        doRelease(w, op, std::move(body));
+        doRelease(op, [this, w]() { atomicBody(w); });
     else
-        body();
+        atomicBody(w);
+}
+
+void
+Sm::atomicBody(std::uint32_t w)
+{
+    const MemAccess acc = accessFor(opOf(w));
+    const Version v = ctx_.mem.allocateVersion();
+
+    // Atomics bypass and clean the L1 so the issuing warp never
+    // reads its own stale pre-RMW copy.
+    l1_.invalidateLine(acc.lineAddr);
+
+    withSlot([this, w, v]() {
+        ctx_.tracker.issued(id_);
+        model_.atomic(accessFor(opOf(w)), v,
+                      /*done=*/[this, w](Version) {
+            const trace::MemOp &op = opOf(w);
+            if (op.acq && op.scope > Scope::Cta)
+                acquireThenAdvance(w);
+            else
+                advance(w);
+        },
+                      /*sys_done=*/[this]() { releaseSlot(); });
+    });
 }
 
 // ----------------------------------------------------------------- fences
 
 void
-Sm::doAcquire(const WarpPtr &w, const trace::MemOp &op)
+Sm::acquireThenAdvance(std::uint32_t w)
 {
-    acquireThenAdvance(w, op);
-}
-
-void
-Sm::acquireThenAdvance(const WarpPtr &w, const trace::MemOp &op)
-{
+    const trace::MemOp &op = opOf(w);
     if (op.scope > Scope::Cta && model_.invalidatesL1OnAcquire())
         l1_.invalidateAll();
     model_.acquire(accessFor(op), [this, w]() { advance(w); });
 }
 
 void
-Sm::doRelease(const WarpPtr &w, const trace::MemOp &op,
-              std::function<void()> then)
+Sm::doRelease(const trace::MemOp &op, DoneCb then)
 {
-    (void)w;
     model_.release(accessFor(op), std::move(then));
 }
 
 // ------------------------------------------------------------ MSHR budget
 
+template <typename F>
 void
-Sm::withSlot(std::function<void()> fn)
+Sm::withSlot(F &&fn)
 {
+    static_assert(sizeof(std::decay_t<F>) <= SlotCb::inlineCapacity(),
+                  "an MSHR-slot waiter must fit SlotCb inline");
     if (outstanding_ < ctx_.cfg.smMaxOutstanding) {
         ++outstanding_;
         fn();
     } else {
-        slot_waiters_.push_back(std::move(fn));
+        slot_waiters_.emplace_back(std::forward<F>(fn));
     }
 }
 
@@ -338,40 +338,37 @@ void
 Sm::releaseSlot()
 {
     hmg_assert(outstanding_ > 0);
-    if (!slot_waiters_.empty()) {
-        auto fn = std::move(slot_waiters_.front());
-        slot_waiters_.pop_front();
-        fn();
-    } else {
+    if (slot_head_ == slot_waiters_.size()) {
         --outstanding_;
+        return;
     }
+    SlotCb fn = std::move(slot_waiters_[slot_head_++]);
+    // Reclaim the consumed front once it is half the queue, so a queue
+    // that never empties stays bounded by its peak length.
+    if (slot_head_ * 2 >= slot_waiters_.size()) {
+        slot_waiters_.erase(slot_waiters_.begin(),
+                            slot_waiters_.begin() +
+                                static_cast<std::ptrdiff_t>(slot_head_));
+        slot_head_ = 0;
+    }
+    fn.consume();
 }
 
 // ------------------------------------------------------------ store buffer
 
 void
-Sm::sbInsert(Addr line, Version v)
+Sm::sbInsert(Addr line)
 {
-    SbEntry &e = store_buffer_[line];
-    if (e.version < v)
-        e.version = v;
-    ++e.refs;
+    ++*store_buffer_.tryEmplace(line).first;
 }
 
 void
 Sm::sbRemove(Addr line)
 {
-    auto it = store_buffer_.find(line);
-    hmg_assert(it != store_buffer_.end());
-    if (--it->second.refs == 0)
-        store_buffer_.erase(it);
-}
-
-const Version *
-Sm::sbLookup(Addr line) const
-{
-    auto it = store_buffer_.find(line);
-    return it == store_buffer_.end() ? nullptr : &it->second.version;
+    std::uint32_t *refs = store_buffer_.find(line);
+    hmg_assert(refs);
+    if (--*refs == 0)
+        store_buffer_.erase(line);
 }
 
 void

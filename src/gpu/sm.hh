@@ -23,14 +23,11 @@
 #define HMG_GPU_SM_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "common/config.hh"
+#include "common/line_table.hh"
 #include "common/stats.hh"
 #include "core/protocol.hh"
 #include "sim/channel.hh"
@@ -63,10 +60,11 @@ class Sm
     }
 
     /**
-     * Start executing `cta` (must fit). `on_done` runs when every warp
-     * of the CTA has retired its last op. The Cta must outlive the run.
+     * Start executing `cta` (must fit). `on_done` runs once, when every
+     * warp of the CTA has retired its last op. The Cta must outlive the
+     * run.
      */
-    void runCta(const trace::Cta &cta, std::function<void()> on_done);
+    void runCta(const trace::Cta &cta, DoneCb on_done);
 
     /** Bulk-invalidate the L1 (acquires and kernel boundaries). */
     std::uint64_t invalidateL1() { return l1_.invalidateAll(); }
@@ -83,46 +81,75 @@ class Sm
     void reportStats(StatRecorder &r, const std::string &prefix) const;
 
   private:
+    /** Where a parked warp picks up when its last posted load returns. */
+    enum class Resume : std::uint8_t
+    {
+        None,    //!< not parked
+        Step,    //!< retire (all ops done, loads still in flight)
+        Execute, //!< retry ops[pc] (load limit, or drain before a
+                 //!< synchronizing op)
+    };
+
+    /**
+     * A resident warp, held in the warps_ slab and named by its index.
+     * The op in hand is always ops[pc]: a warp advances pc only when
+     * that op lets it go on.
+     */
     struct WarpCtx
     {
         const trace::Warp *warp = nullptr;
-        std::size_t pc = 0;
-        std::function<void()> onDone;
+        std::uint32_t pc = 0;
         /** Non-blocking loads currently in flight for this warp. */
         std::uint32_t inflight = 0;
-        /** Continuation parked on a structural hazard (load limit,
-         *  drain before fence/atomic, or warp retirement). */
-        std::function<void()> resume;
+        /** Slot of the warp's CTA in ctas_. */
+        std::uint32_t cta = 0;
+        Resume resume = Resume::None;
     };
-    using WarpPtr = std::shared_ptr<WarpCtx>;
 
-    // Warp state machine.
-    void warpStep(const WarpPtr &w);
-    void execute(const WarpPtr &w, const trace::MemOp &op);
-    void advance(const WarpPtr &w);
-    void finishWarp(const WarpPtr &w);
+    /** A resident CTA: warps still running and its completion. */
+    struct CtaCtx
+    {
+        std::uint32_t remaining = 0;
+        DoneCb onDone;
+    };
 
-    void doLoad(const WarpPtr &w, const trace::MemOp &op);
-    void doStore(const WarpPtr &w, const trace::MemOp &op);
-    void doAtomic(const WarpPtr &w, const trace::MemOp &op);
-    void doAcquire(const WarpPtr &w, const trace::MemOp &op);
-    void doRelease(const WarpPtr &w, const trace::MemOp &op,
-                   std::function<void()> then);
+    /** The op warp `w` is on. */
+    const trace::MemOp &opOf(std::uint32_t w) const
+    {
+        return warps_[w].warp->ops[warps_[w].pc];
+    }
+
+    // Warp state machine. A warp is its index in warps_.
+    void warpStep(std::uint32_t w);
+    void execute(std::uint32_t w);
+    void advance(std::uint32_t w);
+    void finishWarp(std::uint32_t w);
+
+    void doLoad(std::uint32_t w, const trace::MemOp &op);
+    void doStore(std::uint32_t w, const trace::MemOp &op);
+    void doAtomic(std::uint32_t w, const trace::MemOp &op);
+    void doRelease(const trace::MemOp &op, DoneCb then);
+
+    /** The store/atomic after any release it carries. */
+    void storeBody(std::uint32_t w);
+    void atomicBody(std::uint32_t w);
 
     /** Post-load acquire actions, then advance the warp. */
-    void acquireThenAdvance(const WarpPtr &w, const trace::MemOp &op);
+    void acquireThenAdvance(std::uint32_t w);
 
     /** A non-blocking load returned: update inflight, unpark the warp. */
-    void loadCompleted(const WarpPtr &w);
+    void loadCompleted(std::uint32_t w);
 
-    // MSHR budget.
-    void withSlot(std::function<void()> fn);
+    // MSHR budget. A waiter holds 24 bytes: `this`, a warp index, a
+    // line or a version, and a flag or two. Whatever else it needs it
+    // reads from ops[pc] when it runs.
+    using SlotCb = SmallCallback<24, void()>;
+    template <typename F> void withSlot(F &&fn);
     void releaseSlot();
 
     // Store buffer (own in-flight write forwarding).
-    void sbInsert(Addr line, Version v);
+    void sbInsert(Addr line);
     void sbRemove(Addr line);
-    const Version *sbLookup(Addr line) const;
 
     MemAccess accessFor(const trace::MemOp &op) const;
     Addr lineOf(Addr a) const;
@@ -136,17 +163,19 @@ class Sm
     Channel issue_port_;
 
     std::uint32_t active_warps_ = 0;
-    std::uint32_t outstanding_ = 0;
-    std::deque<std::function<void()>> slot_waiters_;
+    std::vector<WarpCtx> warps_;
+    std::vector<std::uint32_t> free_warps_;
+    std::vector<CtaCtx> ctas_;
+    std::vector<std::uint32_t> free_ctas_;
 
-    struct SbEntry
-    {
-        Version version = 0;
-        std::uint32_t refs = 0;
-    };
-    // det-ok: the store buffer is coalesced/drained per line address,
-    // never iterated, so hash order cannot leak into timing.
-    std::unordered_map<Addr, SbEntry> store_buffer_;
+    std::uint32_t outstanding_ = 0;
+    /** Requests waiting for an MSHR slot: a FIFO from slot_head_ on. */
+    std::vector<SlotCb> slot_waiters_;
+    std::size_t slot_head_ = 0;
+
+    /** In-flight write-throughs per line. A load only asks whether a
+     *  write to its line is pending, never for the written version. */
+    LineTable<std::uint32_t> store_buffer_;
 
     std::uint64_t ops_executed_ = 0;
     std::uint64_t loads_ = 0;

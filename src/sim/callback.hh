@@ -35,9 +35,11 @@ namespace hmg
 /**
  * Inline capacity shared by the protocol completion callbacks
  * (core/protocol.hh's LoadDoneCb/DoneCb and GpmNode's parked
- * continuations). Sized for the SM front-end's fattest completion
- * capture (`this` + a shared_ptr warp handle + a MemAccess = 48–56
- * bytes); anything larger spills to the heap gracefully.
+ * continuations, the network's injection waiters). Sized for the
+ * completions the SM front end and the protocol engines hand each
+ * other; the SM's own captures take at most 24 bytes (`this`, a 32-bit
+ * warp index, a line or a Version, a flag). Anything larger spills to
+ * the heap gracefully.
  */
 constexpr std::size_t kCompletionCbBytes = 56;
 

@@ -195,8 +195,8 @@ class Explorer
     /**
      * The next home up the chain from intermediate home `from`: its
      * node home when one stands strictly between `from` and the system
-     * home, else the system home itself (cf. HwProtocol::
-     * nodeHopBetween).
+     * home, else the system home itself (cf. HomeChain::next in
+     * core/protocol.hh).
      */
     GpmId
     upFrom(GpmId from, std::uint8_t l) const
