@@ -19,6 +19,11 @@
 # HMG cell on the two-node topology (the live node tier) pin the event
 # and message counts and where each load found its data
 # (protocol.loads_*).
+#
+# A last HMG mst cell shrinks the directory to 256 entries per GPM and
+# relays .sys releases: its directory evictions fan invalidations, so it
+# pins the invalidation statistics of both causes (a store and a
+# directory eviction) and the release-marker count.
 # Run as: exact_counters.sh <path-to-hmgsim> <source-root>
 set -u
 
@@ -90,6 +95,11 @@ expect "mst --topology examples/topologies/two_node_2x2x2.json" \
     protocol.loads_local_hit 1604 protocol.loads_gpu_home_hit 6796 \
     protocol.loads_node_home_hit 2138 protocol.loads_sys_home_hit 22026 \
     protocol.loads_dram 35458
+expect "mst --dir-entries 256 --hier-release" \
+    engine.events 1495005 noc.delivered 375875 \
+    protocol.store_inv_events 9318 protocol.store_inv_lines 13397 \
+    protocol.evict_inv_events 56714 protocol.evict_inv_lines 93944 \
+    protocol.rel_markers 23040 protocol.releases 7680
 
 if [ "$fails" -ne 0 ]; then
     echo "exact_counters: $fails mismatches"
