@@ -72,7 +72,7 @@ Cache::dirtyLines() const
     return n;
 }
 
-void
+Version
 Cache::fill(Addr line_addr, Version version)
 {
     ++fills_;
@@ -86,6 +86,7 @@ Cache::fill(Addr line_addr, Version version)
     // A racing store may have left a newer version in place; keep it.
     if (line.version() < version)
         line.version() = version;
+    return line.version();
 }
 
 bool

@@ -82,8 +82,9 @@ class Cache
 
     std::uint64_t dirtyLines() const;
 
-    /** Install a line fetched from below (load fill). */
-    void fill(Addr line_addr, Version version);
+    /** Install a line fetched from below (load fill).
+     *  @return the version the line now holds. */
+    Version fill(Addr line_addr, Version version);
 
     /** Invalidate a single line. @return true if present. */
     bool invalidateLine(Addr line_addr);

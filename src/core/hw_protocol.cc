@@ -13,12 +13,14 @@ namespace hmg
 
 /**
  * Runs a completion once `n` arrivals are in. Copies share one
- * counter, so every branch of a fan carries the same join.
+ * counter, so every branch of a fan carries the same join. The
+ * completion may be a release's next round (DrainLedger::Callback
+ * holds one inline).
  */
 class HwProtocol::Join
 {
   public:
-    Join(std::uint32_t n, DoneCb done)
+    Join(std::uint32_t n, DrainLedger::Callback done)
         : s_(std::make_shared<State>(State{n, std::move(done)}))
     {
     }
@@ -34,7 +36,7 @@ class HwProtocol::Join
     struct State
     {
         std::uint32_t pending;
-        DoneCb done;
+        DrainLedger::Callback done;
     };
     std::shared_ptr<State> s_;
 };
@@ -72,15 +74,15 @@ HwProtocol::onLoadAnswered(GpmId home, GpmId via, Addr line)
     // invalidation overtake the response, leaving an untracked stale
     // copy at the requester.
     applyDirEventAt(dirTableFor(home, line), home, via, line,
-                    verify::DirEvent::LoadMiss, nullptr);
+                    verify::DirEvent::LoadMiss);
 }
 
 void
 HwProtocol::onStore(GpmId home, GpmId writer, Addr line)
 {
-    applyDirEventAt(dirTableFor(home, line), home, writer, line,
-                    verify::DirEvent::Store,
-                    makeInvJob(/*from_store=*/true));
+    if (applyDirEventAt(dirTableFor(home, line), home, writer, line,
+                        verify::DirEvent::Store) > 0)
+        countInvEvent(InvCause::Store);
 }
 
 void
@@ -124,10 +126,10 @@ HwProtocol::dirTableFor(GpmId h, Addr line) const
     return verify::tableFor(Role::GpuHome);
 }
 
-const verify::Transition *
+std::uint32_t
 HwProtocol::applyDirEventAt(const verify::TransitionTable &t, GpmId h,
                             GpmId via, Addr line, verify::DirEvent ev,
-                            const InvJobPtr &job)
+                            InvCause cause)
 {
     using verify::DirEvent;
     using verify::DirUpdate;
@@ -147,11 +149,15 @@ HwProtocol::applyDirEventAt(const verify::TransitionTable &t, GpmId h,
                                   snap ? snap->gpuSharers : 0,
                                   snap ? snap->nodeSharers : 0};
 
+    std::uint32_t sent = 0;
     auto outcome = verify::applyDirEvent(
         t, topo(), hier_, h, via, ev, pre,
         [this, sector](GpuId g) { return gpuHomeFor(g, sector); },
         [this, sector](NodeId n) { return nodeHomeFor(n, sector); },
-        [&](GpmId dst) { sendInv(h, dst, sector, job); });
+        [&](GpmId dst) {
+            sendInv(h, dst, sector, cause);
+            ++sent;
+        });
 
     if (!outcome.keepEntry) {
         // An entry whose sharers were all downgraded away carries no
@@ -160,7 +166,7 @@ HwProtocol::applyDirEventAt(const verify::TransitionTable &t, GpmId h,
         if (e && (ev == DirEvent::InvRecv || pre.gpmBits || pre.gpuBits ||
                   pre.nodeBits))
             dir.remove(line);
-        return outcome.row;
+        return sent;
     }
     switch (outcome.row->update) {
       case DirUpdate::None:
@@ -188,64 +194,64 @@ HwProtocol::applyDirEventAt(const verify::TransitionTable &t, GpmId h,
         break;
       }
     }
-    return outcome.row;
+    return sent;
 }
 
 void
 HwProtocol::replaceVictim(GpmId h, const DirEntry &victim)
 {
-    auto job = makeInvJob(/*from_store=*/false);
     const Addr sector = victim.sector;
     const verify::DirSnapshot pre{true, victim.gpmSharers,
                                   victim.gpuSharers, victim.nodeSharers};
     // The victim is already detached from the directory, so the row's
     // Invalid next-state needs no commit — only its invalidation fan.
+    bool sent = false;
     verify::applyDirEvent(
         dirTableFor(h, sector), topo(), hier_, h, kInvalidGpm,
         verify::DirEvent::Replace, pre,
         [this, sector](GpuId g) { return gpuHomeFor(g, sector); },
         [this, sector](NodeId n) { return nodeHomeFor(n, sector); },
-        [&](GpmId dst) { sendInv(h, dst, sector, job); });
+        [&](GpmId dst) {
+            sendInv(h, dst, sector, InvCause::Evict);
+            sent = true;
+        });
+    if (sent)
+        countInvEvent(InvCause::Evict);
 }
 
 void
-HwProtocol::sendInv(GpmId from, GpmId to, Addr sector, InvJobPtr job)
+HwProtocol::sendInv(GpmId from, GpmId to, Addr sector, InvCause cause)
 {
     ++inv_msgs_;
-    {
-        // A GPU-home re-fan grows a job another LP may be finishing.
-        MaybeLock lock(ctx_.lps);
-        ++job->pending;
-    }
     // The sender's in-flight-invalidation ledger gates release-marker
-    // acknowledgment (GpmNode::waitInvDrained); the landing is counted
+    // acknowledgment (GpmNode::invs); the landing is counted
     // before handleInv so a re-fanned invalidation issued there can
     // never observe its trigger as still in flight. The checker's
     // delivery note comes after handleInv for the same reason: a
     // re-fanned wave must overlap its trigger in the per-sector count.
-    ctx_.gpm(from).invIssued();
+    ctx_.gpm(from).invs().issued();
     if (ctx_.checker)
         ctx_.checker->noteInvSent(sector);
     ctx_.net.inject({.src = from,
                      .dst = to,
                      .type = MsgType::Inv,
                      .addr = sector,
-                     .onArrival = [this, from, to, sector, job]() {
+                     .onArrival = [this, from, to, sector, cause]() {
                          // The sender's ledger belongs to `from`'s LP;
                          // a delayed decrement only lengthens marker
                          // waits (delay-only relaxation).
                          ctx_.lps.post(ctx_.lps.lpOfGpm(from),
                                        [this, from]() {
-                                           ctx_.gpm(from).invLanded();
+                                           ctx_.gpm(from).invs().landed();
                                        });
-                         handleInv(to, sector, job);
+                         handleInv(to, sector, cause);
                          if (ctx_.checker)
                              ctx_.checker->noteInvDelivered(sector);
                      }});
 }
 
 void
-HwProtocol::handleInv(GpmId at, Addr sector, InvJobPtr job)
+HwProtocol::handleInv(GpmId at, Addr sector, InvCause cause)
 {
     GpmNode &node = ctx_.gpm(at);
     const std::uint32_t sector_bytes = node.dir()->sectorBytes();
@@ -277,9 +283,9 @@ HwProtocol::handleInv(GpmId at, Addr sector, InvJobPtr job)
         if (ctx_.pages.isPlaced(sector) && gpuHomeFor(g, sector) == at &&
             at != sysHome(sector))
             applyDirEventAt(dirTableFor(at, sector), at, kInvalidGpm,
-                            sector, verify::DirEvent::InvRecv, job);
+                            sector, verify::DirEvent::InvRecv, cause);
     }
-    finishInvMsg(job, lines);
+    countInvLines(cause, lines);
 }
 
 // -------------------------------------------------------- acquire/release
@@ -303,79 +309,45 @@ HwProtocol::release(const MemAccess &acc, DoneCb done)
         return;
     }
 
-    const GpmId r = acc.gpm;
-    const GpuId g = ctx_.cfg.gpuOf(r);
-    const bool gpu_only = hier_ && acc.scope == Scope::Gpu;
-
     // HMG `.gpu` releases reach r's own GPU. A relayed `.sys` release
-    // reaches r's GPU directly and every other GPU through one relay
-    // (its GPM with r's local index); any other release reaches every
-    // GPM.
-    const bool relayed = hier_ && acc.scope == Scope::Sys &&
-                         ctx_.cfg.hierarchicalReleaseFanout;
-    std::vector<GpmId> targets;
-    std::vector<GpmId> relays;
-    if (gpu_only || relayed) {
-        for (std::uint32_t l = 0; l < ctx_.cfg.gpmsPerGpu; ++l) {
-            GpmId d = ctx_.cfg.gpmId(g, l);
-            if (d != r)
-                targets.push_back(d);
-        }
-    } else {
-        for (GpmId d = 0; d < ctx_.cfg.totalGpms(); ++d)
-            if (d != r)
-                targets.push_back(d);
-    }
-    if (relayed)
-        for (GpuId u = 0; u < ctx_.cfg.numGpus; ++u)
-            if (u != g)
-                relays.push_back(ctx_.cfg.gpmId(u, ctx_.cfg.localGpmOf(r)));
+    // reaches r's GPU directly and every other GPU through one relay;
+    // any other release reaches every GPM.
+    const GpmId r = acc.gpm;
+    const bool gpu_only = hier_ && acc.scope == Scope::Gpu;
+    const Fan fan = gpu_only ? Fan::OwnGpu
+                    : hier_ && acc.scope == Scope::Sys &&
+                            ctx_.cfg.hierarchicalReleaseFanout
+                        ? Fan::Relayed
+                        : Fan::All;
 
     // `.sys` releases need one marker round per invalidation wave, i.e.
     // per home level of the chain: round one drains the system homes'
     // top-level invalidations into the homes one tier down; each further
     // round drains one re-fanned wave.
-    const int rounds = acc.scope == Scope::Sys ? homeLevels() : 1;
-
-    auto one_round = [this, r, targets, relays](DoneCb then) {
-        markerRound(r, targets, relays, std::move(then));
+    const auto rounds =
+        static_cast<std::uint8_t>(acc.scope == Scope::Sys ? homeLevels() : 1);
+    auto markers = [this, r, fan, rounds, done = std::move(done)]() mutable {
+        markerRounds(r, fan, rounds, std::move(done));
     };
-
-    auto after_drain = [one_round, rounds,
-                        done = std::move(done)]() mutable {
-        DoneCb next = std::move(done);
-        for (int i = 1; i < rounds; ++i)
-            next = [one_round, next = std::move(next)]() mutable {
-                one_round(std::move(next));
-            };
-        one_round(std::move(next));
-    };
-
-    // Write-back mode: "Release operations trigger a writeback of all
-    // dirty data to the respective home nodes" (Section IV-B) — flush
-    // the releasing GPM's dirty lines, then wait for both the SM's
-    // write-throughs and this GPM's in-flight write-backs.
-    if (writeBack()) {
-        // Only after the SM's posted stores have landed in the local L2
-        // (tracker drained) is its dirty set final: flush it, then wait
-        // for this GPM's in-flight write-backs.
-        auto flush_then_wait = [this, r, after_drain =
-                                             std::move(after_drain)]() mutable {
-            flushDirty(r);
-            ctx_.gpm(r).waitWbDrained(std::move(after_drain));
-        };
+    auto after_drain = [this, &acc, gpu_only](ReleaseTracker::Callback cb) {
         if (gpu_only)
-            ctx_.tracker.waitGpuLevel(acc.sm, std::move(flush_then_wait));
+            ctx_.tracker.waitGpuLevel(acc.sm, std::move(cb));
         else
-            ctx_.tracker.waitSysLevel(acc.sm,
-                                      std::move(flush_then_wait));
+            ctx_.tracker.waitSysLevel(acc.sm, std::move(cb));
+    };
+    if (!writeBack()) {
+        after_drain(std::move(markers));
         return;
     }
-
-    if (gpu_only)
-        ctx_.tracker.waitGpuLevel(acc.sm, std::move(after_drain));
-    else
-        ctx_.tracker.waitSysLevel(acc.sm, std::move(after_drain));
+    // Write-back mode: "Release operations trigger a writeback of all
+    // dirty data to the respective home nodes" (Section IV-B). Only
+    // after the SM's posted stores have landed in the local L2 (tracker
+    // drained) is its dirty set final: flush it, then wait for this
+    // GPM's in-flight write-backs.
+    after_drain([this, r, markers = std::move(markers)]() mutable {
+        flushDirty(r);
+        ctx_.gpm(r).writeBacks().whenDrained(std::move(markers));
+    });
 }
 
 void
@@ -395,7 +367,7 @@ HwProtocol::drainForBoundary(DoneCb done)
         for (GpmId g = 0; g < ctx_.cfg.totalGpms(); ++g) {
             ctx_.lps.post(ctx_.lps.lpOfGpm(g), [this, g, all]() {
                 flushDirty(g);
-                ctx_.gpm(g).waitWbDrained(
+                ctx_.gpm(g).writeBacks().whenDrained(
                     [this, all]() { ctx_.lps.post(0, all); });
             });
         }
@@ -413,11 +385,12 @@ HwProtocol::flushDirty(GpmId g)
 void
 HwProtocol::writeBackLine(GpmId src, Addr line, Version v, bool record)
 {
-    ctx_.gpm(src).wbIssued();
+    ctx_.gpm(src).writeBacks().issued();
     writeThrough({.acc = MemAccess{0, src, line, Scope::None},
                   .chain = chainFor(src, line, sysHome(line)),
                   .v = v,
-                  .sysDone = [this, src]() { ctx_.gpm(src).wbLanded(); },
+                  .sysDone =
+                      [this, src]() { ctx_.gpm(src).writeBacks().landed(); },
                   .recordWriter = record,
                   .tracked = false,
                   // A dirty victim was coherence-ordered by its original
@@ -427,18 +400,31 @@ HwProtocol::writeBackLine(GpmId src, Addr line, Version v, bool record)
 }
 
 void
-HwProtocol::markerRound(GpmId r, const std::vector<GpmId> &targets,
-                        const std::vector<GpmId> &relays, DoneCb done)
+HwProtocol::markerRounds(GpmId r, Fan fan, std::uint8_t rounds, DoneCb done)
 {
-    const Join all(
-        static_cast<std::uint32_t>(targets.size() + relays.size()) + 1,
-        std::move(done));
+    const GpuId g = ctx_.cfg.gpuOf(r);
+    const GpmId first = fan == Fan::All ? 0 : ctx_.cfg.gpmId(g, 0);
+    const GpmId end =
+        fan == Fan::All ? ctx_.cfg.totalGpms() : first + ctx_.cfg.gpmsPerGpu;
+    const std::uint32_t relays =
+        fan == Fan::Relayed ? ctx_.cfg.numGpus - 1 : 0;
+    const Join all(end - first + relays,
+                   [this, r, fan, rounds, done = std::move(done)]() mutable {
+                       if (rounds > 1)
+                           markerRounds(r, fan, rounds - 1, std::move(done));
+                       else
+                           done();
+                   });
     // The releasing GPM's own outbound invalidations must land too.
-    ctx_.gpm(r).waitInvDrained(all);
-    for (GpmId dst : targets)
-        sendMarker(r, dst, /*relay=*/false, all);
-    for (GpmId relay : relays)
-        sendMarker(r, relay, /*relay=*/true, all);
+    ctx_.gpm(r).invs().whenDrained(all);
+    for (GpmId d = first; d < end; ++d)
+        if (d != r)
+            sendMarker(r, d, /*relay=*/false, all);
+    if (relays > 0)
+        for (GpuId u = 0; u < ctx_.cfg.numGpus; ++u)
+            if (u != g)
+                sendMarker(r, ctx_.cfg.gpmId(u, ctx_.cfg.localGpmOf(r)),
+                           /*relay=*/true, all);
 }
 
 void
@@ -458,21 +444,13 @@ HwProtocol::sendMarker(GpmId from, GpmId to, bool relay, const Join &ack)
              };
              // FIFO transport guarantees every invalidation `to`
              // received before this marker has been handled; the ledger
-             // wait covers the ones `to` itself still has in flight.
-             if (!relay) {
-                 ctx_.gpm(to).waitInvDrained(ack_back);
-                 return;
-             }
-             // A relay also waits for its own GPU's other GPMs, which
-             // it reaches with markers of its own.
-             const Join siblings(ctx_.cfg.gpmsPerGpu, ack_back);
-             ctx_.gpm(to).waitInvDrained(siblings);
-             const GpuId u = ctx_.cfg.gpuOf(to);
-             for (std::uint32_t l = 0; l < ctx_.cfg.gpmsPerGpu; ++l) {
-                 GpmId d = ctx_.cfg.gpmId(u, l);
-                 if (d != to)
-                     sendMarker(to, d, /*relay=*/false, siblings);
-             }
+             // wait covers the ones `to` itself still has in flight. A
+             // relay also waits for its own GPU's other GPMs, which it
+             // reaches with markers of its own.
+             if (relay)
+                 markerRounds(to, Fan::OwnGpu, 1, std::move(ack_back));
+             else
+                 ctx_.gpm(to).invs().whenDrained(std::move(ack_back));
          }});
 }
 
@@ -531,7 +509,7 @@ void
 HwProtocol::handleDowngrade(GpmId h, GpmId from, Addr line)
 {
     applyDirEventAt(dirTableFor(h, line), h, from, line,
-                    verify::DirEvent::Downgrade, nullptr);
+                    verify::DirEvent::Downgrade);
 }
 
 void

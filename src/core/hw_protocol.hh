@@ -45,7 +45,6 @@
 #define HMG_CORE_HW_PROTOCOL_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "core/protocol.hh"
 #include "core/sharer_ops.hh"
@@ -94,19 +93,28 @@ class HwProtocol : public HomeChainModel
 
     // --- release machinery ---
 
-    /**
-     * One round of release markers from `r`: each of `targets`
-     * acknowledges once its previously-sent invalidations have landed;
-     * each of `relays` (cfg.hierarchicalReleaseFanout: one GPM per
-     * remote GPU) first fans markers to its own GPU's other GPMs and
-     * acknowledges once they and it have drained — same drain
-     * guarantees, fewer inter-GPU messages. `done` runs at `r` when
-     * all acks (plus r's own drain) are in.
-     */
-    void markerRound(GpmId r, const std::vector<GpmId> &targets,
-                     const std::vector<GpmId> &relays, DoneCb done);
+    /** The GPMs a release's markers reach from the releasing GPM r. */
+    enum class Fan : std::uint8_t
+    {
+        OwnGpu,  //!< r's GPU (an HMG `.gpu` release)
+        Relayed, //!< r's GPU, then one relay per other GPU, the GPM
+                 //!< with r's local index (cfg.hierarchicalReleaseFanout)
+        All,     //!< every GPM
+    };
 
     class Join;
+
+    /**
+     * `rounds` rounds of release markers from `r` over `fan`, each
+     * started by the previous round's Join: in a round every target
+     * acknowledges once its previously-sent invalidations have landed,
+     * and a relay first runs a one-round OwnGpu fan of its own — same
+     * drain guarantees, fewer inter-GPU messages. Targets go in
+     * ascending GPM order, relays after them in ascending GPU order.
+     * `done` runs at `r` when the last round's acks (and r's own drain)
+     * are in.
+     */
+    void markerRounds(GpmId r, Fan fan, std::uint8_t rounds, DoneCb done);
 
     /** One marker exchange: RelMarker `from` -> `to`, the drain wait at
      *  `to` (a relay's own fan included), RelAck back; `ack` runs at
@@ -128,23 +136,25 @@ class HwProtocol : public HomeChainModel
     /**
      * Apply the unique Table I row for (entry state at `h`, `ev`,
      * writer-tracked guard of `via`): emit the row's invalidations
-     * (charged to `job`) and commit the directory update. All
-     * directory maintenance — sharer recording, store/atomic
-     * invalidation fans, HMG re-fans, downgrades — funnels through
-     * here, so the rows hmgcheck verifies are the rows executed.
+     * (counted under `cause`; only Store and InvRecv rows emit any) and
+     * commit the directory update. All directory maintenance — sharer
+     * recording, store/atomic invalidation fans, HMG re-fans,
+     * downgrades — funnels through here, so the rows hmgcheck verifies
+     * are the rows executed. @return the invalidations sent.
      */
-    const verify::Transition *applyDirEventAt(
-        const verify::TransitionTable &t, GpmId h, GpmId via, Addr line,
-        verify::DirEvent ev, const InvJobPtr &job);
+    std::uint32_t applyDirEventAt(const verify::TransitionTable &t,
+                                  GpmId h, GpmId via, Addr line,
+                                  verify::DirEvent ev,
+                                  InvCause cause = InvCause::Store);
 
     /** Table I "Replace Dir Entry" on a displaced (detached) victim. */
     void replaceVictim(GpmId h, const DirEntry &victim);
 
     /** Send one invalidation and process it at the destination. */
-    void sendInv(GpmId from, GpmId to, Addr sector, InvJobPtr job);
+    void sendInv(GpmId from, GpmId to, Addr sector, InvCause cause);
 
     /** Invalidation arriving at `at` (may re-fan at a GPU home). */
-    void handleInv(GpmId at, Addr sector, InvJobPtr job);
+    void handleInv(GpmId at, Addr sector, InvCause cause);
 
     /** Optional clean-eviction downgrade (Section IV-B, off by
      *  default; exact only at 1-line directory granularity). */

@@ -1,5 +1,6 @@
 #include "core/protocol.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/log.hh"
@@ -11,27 +12,18 @@ namespace hmg
 {
 
 void
-CoherenceModel::finishInvMsg(const InvJobPtr &job,
-                             std::uint64_t lines_dropped)
-{
-    // One job's messages may land in several LPs within a window; the
-    // join counter and the sampled statistic are the shared state.
-    MaybeLock lock(ctx_.lps);
-    hmg_assert(job->pending > 0);
-    job->lines += lines_dropped;
-    if (--job->pending == 0 && job->stat)
-        job->stat->sample(static_cast<double>(job->lines));
-}
-
-void
 CoherenceModel::reportStats(StatRecorder &r) const
 {
+    const auto store = static_cast<std::size_t>(InvCause::Store);
+    const auto evict = static_cast<std::size_t>(InvCause::Evict);
     r.record("protocol.store_inv_events",
-             static_cast<double>(store_inv_.count()));
-    r.record("protocol.store_inv_lines", store_inv_.sum());
+             static_cast<double>(inv_events_[store].total()));
+    r.record("protocol.store_inv_lines",
+             static_cast<double>(inv_lines_[store].total()));
     r.record("protocol.evict_inv_events",
-             static_cast<double>(evict_inv_.count()));
-    r.record("protocol.evict_inv_lines", evict_inv_.sum());
+             static_cast<double>(inv_events_[evict].total()));
+    r.record("protocol.evict_inv_lines",
+             static_cast<double>(inv_lines_[evict].total()));
     r.record("protocol.inv_msgs", static_cast<double>(inv_msgs_.total()));
 }
 
@@ -151,10 +143,15 @@ HomeChainModel::loadAt(const MemAccess &acc, const HomeChain &c, Tier t,
         auto res = node.l2().load(line);
         if (res.hit) {
             ++served_[tierIndex(t)];
+            // The response carries the data as it stands when it leaves:
+            // a write landing inside the data latency would otherwise
+            // send its invalidation ahead of an answer that predates it.
             ctx_.engine().schedule(dataLat(), [this, at, via, line,
                                                v = res.version,
                                                back = std::move(
                                                    back)]() mutable {
+                if (auto now = ctx_.gpm(at).l2().peek(line))
+                    v = now->version;
                 answerLoad(at, via, line, v, std::move(back));
             });
             return;
@@ -167,9 +164,11 @@ HomeChainModel::loadAt(const MemAccess &acc, const HomeChain &c, Tier t,
             ++served_[tierIndex(Tier::Dram)];
         fetchLine(acc, c, t, [this, at, line](Version v) {
             GpmNode &n = ctx_.gpm(at);
-            n.l2().fill(line, v);
+            // A write that passed the fetch is newer than its answer.
+            const Version filled =
+                n.l2().fill(line, std::max(v, n.mshrWritten(line)));
             n.mshrComplete(line, [&](GpmId w_via, LoadDoneCb w_back) {
-                answerLoad(at, w_via, line, v, std::move(w_back));
+                answerLoad(at, w_via, line, filled, std::move(w_back));
             });
         });
         return;
@@ -240,9 +239,11 @@ HomeChainModel::storeAt(StoreFlow f, Tier t, GpmId via)
 {
     const GpmId at = f.chain.at(t);
     const Addr line = f.acc.lineAddr;
-    if (mayCacheAt(at, line))
-        ctx_.gpm(at).l2().store(line, f.v, /*mark_dirty=*/false,
-                                f.serialized);
+    if (mayCacheAt(at, line)) {
+        GpmNode &node = ctx_.gpm(at);
+        node.l2().store(line, f.v, /*mark_dirty=*/false, f.serialized);
+        node.mshrNoteWrite(line, f.v);
+    }
     if (t == Tier::SysHome)
         writeMemory(at, line, f.v, f.serialized);
     onStore(at, f.recordWriter ? via : kInvalidGpm, line);
@@ -375,9 +376,11 @@ HomeChainModel::atomicPerform(const MemAccess &acc, const HomeChain &c,
     const GpmId at = c.at(t);
     const Addr line = acc.lineAddr;
     // The RMW serializes at `at`: its copy takes the arrival order.
-    if (mayCacheAt(at, line))
-        ctx_.gpm(at).l2().store(line, v, /*mark_dirty=*/false,
-                                /*serialized=*/true);
+    if (mayCacheAt(at, line)) {
+        GpmNode &node = ctx_.gpm(at);
+        node.l2().store(line, v, /*mark_dirty=*/false, /*serialized=*/true);
+        node.mshrNoteWrite(line, v);
+    }
 
     // Coherence-wise an atomic is a store with no tracked writer: every
     // sharer loses its copy (including the requester's stale one —

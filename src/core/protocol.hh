@@ -181,47 +181,34 @@ class CoherenceModel
 
     virtual void reportStats(StatRecorder &r) const;
 
-    // --- shared coherence statistics (Figures 9-11) ---
-
-    /** Lines invalidated per store that found other sharers (Fig. 9). */
-    const MeanStat &storeInvStat() const { return store_inv_; }
-    /** Lines invalidated per directory eviction (Fig. 10). */
-    const MeanStat &evictInvStat() const { return evict_inv_; }
-    std::uint64_t invMessagesSent() const { return inv_msgs_.total(); }
-
   protected:
-    /**
-     * A tree of invalidation messages triggered by one cause (a store or
-     * a directory eviction). Tracks how many messages are still in
-     * flight and how many cache lines they dropped, and samples the
-     * right mean-statistic when the last one lands.
-     */
-    struct InvJob
+    /** What set an invalidation fan off (Figs. 9 and 10): a store at a
+     *  home, or a directory eviction. A re-fan inherits its trigger's. */
+    enum class InvCause : std::uint8_t
     {
-        std::uint32_t pending = 0;
-        std::uint64_t lines = 0;
-        MeanStat *stat = nullptr;
+        Store,
+        Evict,
     };
 
-    using InvJobPtr = std::shared_ptr<InvJob>;
-
-    InvJobPtr
-    makeInvJob(bool from_store)
+    /** A Store/Replace directory event sent at least one invalidation. */
+    void
+    countInvEvent(InvCause c)
     {
-        auto job = std::make_shared<InvJob>();
-        job->stat = from_store ? &store_inv_ : &evict_inv_;
-        return job;
+        ++inv_events_[static_cast<std::size_t>(c)];
     }
 
-    /** Finish one message of `job`; samples the stat when all landed. */
-    void finishInvMsg(const InvJobPtr &job, std::uint64_t lines_dropped);
+    /** An invalidation of cause `c` dropped `lines` cache lines. */
+    void
+    countInvLines(InvCause c, std::uint64_t lines)
+    {
+        inv_lines_[static_cast<std::size_t>(c)] += lines;
+    }
 
     SystemContext &ctx_;
-    /** Guarded by lps.modelMutex() in concurrent runs: InvJobs fan
-     *  across LPs and the last message may land on any of them. */
-    MeanStat store_inv_;
-    MeanStat evict_inv_;
-    LpCounter inv_msgs_; ///< LP-sharded (counted at the sending home)
+    // LP-sharded; sums do not depend on the order the LPs add them in.
+    LpCounter inv_msgs_; ///< counted at the sending home
+    std::array<LpCounter, 2> inv_events_;
+    std::array<LpCounter, 2> inv_lines_;
 };
 
 /** Instantiate the model selected by `ctx.cfg.protocol`. */

@@ -25,8 +25,8 @@ void
 ReleaseTracker::issued(SmId sm)
 {
     PerSm &s = sms_.at(sm);
-    ++s.pendingGpu;
-    ++s.pendingSys;
+    s.gpu.issued();
+    s.sys.issued();
     lp_pending_[LpDomain::currentLp()].v.fetch_add(
         1, std::memory_order_relaxed);
 }
@@ -34,24 +34,18 @@ ReleaseTracker::issued(SmId sm)
 void
 ReleaseTracker::reachedGpuLevel(SmId sm)
 {
-    PerSm &s = sms_.at(sm);
-    hmg_assert(s.pendingGpu > 0);
-    if (--s.pendingGpu == 0)
-        drainGpuWaiters(s);
+    sms_.at(sm).gpu.landed();
 }
 
 void
 ReleaseTracker::reachedSysLevel(SmId sm)
 {
     PerSm &s = sms_.at(sm);
-    hmg_assert(s.pendingSys > 0);
-    --s.pendingSys;
     auto &slab = lp_pending_[LpDomain::currentLp()].v;
     const std::uint64_t before =
         slab.fetch_sub(1, std::memory_order_relaxed);
     hmg_assert(before > 0);
-    if (s.pendingSys == 0)
-        drainSysWaiters(s);
+    s.sys.landed();
     if (before == 1) {
         // This LP just drained. Global waiters only exist during kernel
         // boundaries, when no SM issues new writes — the total is
@@ -64,21 +58,13 @@ ReleaseTracker::reachedSysLevel(SmId sm)
 void
 ReleaseTracker::waitGpuLevel(SmId sm, Callback cb)
 {
-    PerSm &s = sms_.at(sm);
-    if (s.pendingGpu == 0)
-        cb();
-    else
-        s.gpuWaiters.push_back(std::move(cb));
+    sms_.at(sm).gpu.whenDrained(std::move(cb));
 }
 
 void
 ReleaseTracker::waitSysLevel(SmId sm, Callback cb)
 {
-    PerSm &s = sms_.at(sm);
-    if (s.pendingSys == 0)
-        cb();
-    else
-        s.sysWaiters.push_back(std::move(cb));
+    sms_.at(sm).sys.whenDrained(std::move(cb));
 }
 
 void
@@ -89,24 +75,6 @@ ReleaseTracker::waitAllDrained(Callback cb)
         cb();
     else
         global_waiters_.push_back(std::move(cb));
-}
-
-void
-ReleaseTracker::drainGpuWaiters(PerSm &s)
-{
-    auto waiters = std::move(s.gpuWaiters);
-    s.gpuWaiters.clear();
-    for (auto &cb : waiters)
-        cb();
-}
-
-void
-ReleaseTracker::drainSysWaiters(PerSm &s)
-{
-    auto waiters = std::move(s.sysWaiters);
-    s.sysWaiters.clear();
-    for (auto &cb : waiters)
-        cb();
 }
 
 void

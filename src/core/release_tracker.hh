@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "sim/callback.hh"
+#include "sim/drain_ledger.hh"
 #include "sim/lp.hh"
 
 namespace hmg
@@ -37,13 +37,9 @@ namespace hmg
 class ReleaseTracker
 {
   public:
-    /**
-     * Waiter continuations are move-only SmallCallbacks. Release-fence
-     * closures (which capture a DoneCb plus marker-round state) run to
-     * ~130 bytes, so the inline buffer is sized generously; anything
-     * fatter spills to the heap, which is fine off the hot path.
-     */
-    using Callback = SmallCallback<136, void()>;
+    /** Waiter continuations: room for a release fence's marker-round
+     *  closure (DrainLedger::Callback). */
+    using Callback = DrainLedger::Callback;
 
     ReleaseTracker(LpDomain &lps, std::uint32_t num_sms);
 
@@ -65,8 +61,8 @@ class ReleaseTracker
     /** Run `cb` once *every* SM's system level is drained. */
     void waitAllDrained(Callback cb);
 
-    std::uint64_t pendingGpu(SmId sm) const { return sms_[sm].pendingGpu; }
-    std::uint64_t pendingSys(SmId sm) const { return sms_[sm].pendingSys; }
+    std::uint64_t pendingGpu(SmId sm) const { return sms_[sm].gpu.pending(); }
+    std::uint64_t pendingSys(SmId sm) const { return sms_[sm].sys.pending(); }
     std::uint64_t totalPendingSys() const;
 
   private:
@@ -80,10 +76,8 @@ class ReleaseTracker
      */
     struct PerSm
     {
-        std::uint64_t pendingGpu = 0;
-        std::uint64_t pendingSys = 0;
-        std::vector<Callback> gpuWaiters;
-        std::vector<Callback> sysWaiters;
+        DrainLedger gpu;
+        DrainLedger sys;
     };
 
     struct alignas(64) LpPending
@@ -92,8 +86,6 @@ class ReleaseTracker
         std::atomic<std::uint64_t> v{0};
     };
 
-    void drainGpuWaiters(PerSm &s);
-    void drainSysWaiters(PerSm &s);
     /** LP-0 only: fire global waiters if the machine is drained. */
     void recheckGlobalDrained();
 

@@ -28,27 +28,6 @@ GpmNode::ingress(const Packet &p, Tick arrival)
     rx_bytes_ += p.bytes;
 }
 
-void
-GpmNode::invLanded()
-{
-    hmg_assert(pending_invs_ > 0);
-    if (--pending_invs_ == 0) {
-        auto waiters = std::move(inv_waiters_);
-        inv_waiters_.clear();
-        for (auto &cb : waiters)
-            cb();
-    }
-}
-
-void
-GpmNode::waitInvDrained(Callback cb)
-{
-    if (pending_invs_ == 0)
-        cb();
-    else
-        inv_waiters_.push_back(std::move(cb));
-}
-
 bool
 GpmNode::mshrRegister(Addr line, GpmId via, MissCb cb)
 {
@@ -73,27 +52,6 @@ GpmNode::mshrRegister(Addr line, GpmId via, MissCb cb)
     }
     e->tail = w;
     return first;
-}
-
-void
-GpmNode::wbLanded()
-{
-    hmg_assert(pending_writebacks_ > 0);
-    if (--pending_writebacks_ == 0) {
-        auto waiters = std::move(wb_waiters_);
-        wb_waiters_.clear();
-        for (auto &cb : waiters)
-            cb();
-    }
-}
-
-void
-GpmNode::waitWbDrained(Callback cb)
-{
-    if (pending_writebacks_ == 0)
-        cb();
-    else
-        wb_waiters_.push_back(std::move(cb));
 }
 
 void

@@ -20,6 +20,7 @@
 #include "mem/dram.hh"
 #include "noc/message.hh"
 #include "sim/callback.hh"
+#include "sim/drain_ledger.hh"
 #include "sim/engine.hh"
 
 namespace hmg
@@ -29,8 +30,6 @@ namespace hmg
 class GpmNode
 {
   public:
-    using Callback = SmallCallback<kCompletionCbBytes, void()>;
-
     GpmNode(Engine &engine, const SystemConfig &cfg, GpmId id,
             bool with_directory);
 
@@ -57,26 +56,19 @@ class GpmNode
     }
     std::uint64_t bytesReceived() const { return rx_bytes_; }
 
-    // --- in-flight invalidation ledger ---
+    // --- in-flight ledgers ---
     //
     // A release marker received by this node must not be acknowledged
     // before every invalidation this node has sent has landed
     // (Section IV-B, "Release"). With per-hop queueing the arrival tick
     // of an invalidation is not knowable at injection time, so the node
-    // keeps a count of in-flight invalidations and parks release-marker
-    // continuations until it drains — the exact analogue of the
-    // write-back ledger below.
+    // counts its in-flight invalidations and parks release-marker
+    // continuations until they drain; write-back mode (cfg.l2WriteBack)
+    // counts dirty-line write-backs on their way to the system home the
+    // same way.
 
-    /** An invalidation left this node. */
-    void invIssued() { ++pending_invs_; }
-
-    /** One of this node's invalidations reached its destination. */
-    void invLanded();
-
-    /** Run `cb` once no invalidations from this node are in flight. */
-    void waitInvDrained(Callback cb);
-
-    std::uint64_t pendingInvs() const { return pending_invs_; }
+    DrainLedger &invs() { return invs_; }
+    DrainLedger &writeBacks() { return write_backs_; }
 
     // --- miss-status handling registers (request coalescing) ---
     //
@@ -124,20 +116,30 @@ class GpmNode
         }
     }
 
+    /**
+     * A write (a passing write-through or an atomic performed here)
+     * updated `line` at this node. While a fetch of the line is
+     * pending, the entry keeps the last such version: the fetch was
+     * answered from data older than the write, so the fill must not
+     * install it over the write (real MSHRs merge the write into the
+     * fill buffer).
+     */
+    void
+    mshrNoteWrite(Addr line, Version v)
+    {
+        if (MshrEntry *e = mshr_.find(line))
+            e->written = v;
+    }
+
+    /** The last write noted while `line`'s fetch is pending (0: none). */
+    Version
+    mshrWritten(Addr line)
+    {
+        const MshrEntry *e = mshr_.find(line);
+        return e ? e->written : 0;
+    }
+
     std::uint64_t mshrMerges() const { return mshr_merges_; }
-
-    // --- in-flight write-back ledger (cfg.l2WriteBack) ---
-
-    /** A dirty-line write-back left this node. */
-    void wbIssued() { ++pending_writebacks_; }
-
-    /** The write-back reached the system home. */
-    void wbLanded();
-
-    /** Run `cb` once no write-backs from this node are in flight. */
-    void waitWbDrained(Callback cb);
-
-    std::uint64_t pendingWritebacks() const { return pending_writebacks_; }
 
     void reportStats(StatRecorder &r, const std::string &prefix) const;
 
@@ -154,6 +156,7 @@ class GpmNode
     {
         std::uint32_t head = kNoWaiter;
         std::uint32_t tail = kNoWaiter;
+        Version written = 0; //!< see mshrNoteWrite
     };
     struct MshrWaiter
     {
@@ -165,10 +168,8 @@ class GpmNode
     std::vector<MshrWaiter> waiters_;
     std::uint32_t free_waiter_ = kNoWaiter;
     std::uint64_t mshr_merges_ = 0;
-    std::uint64_t pending_invs_ = 0;
-    std::vector<Callback> inv_waiters_;
-    std::uint64_t pending_writebacks_ = 0;
-    std::vector<Callback> wb_waiters_;
+    DrainLedger invs_;
+    DrainLedger write_backs_;
     std::uint64_t rx_count_[kNumMsgTypes] = {};
     std::uint64_t rx_bytes_ = 0;
 };
